@@ -1,10 +1,11 @@
-// Micro benchmark A7: substrate throughput — HTM point location and region
-// covers (the q -> B(q) semantic mapping), Greedy-Dual-Size batch
+// Micro benchmark A7: substrate throughput — HTM point location and cone
+// and rect covers (the q -> B(q) semantic mapping), Greedy-Dual-Size batch
 // decisions, and trace-generation throughput. These bound the middleware's
 // per-event bookkeeping cost.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 
 #include "cache/cache_store.h"
@@ -51,6 +52,30 @@ void BM_HtmConeCover(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HtmConeCover)->Arg(5)->Arg(6);
+
+// (ra, dec) boxes sized like the SDSS trace's range queries (0.5-3 degree
+// sides; the ra sides wrap through 0 where they cross it). A quarter of
+// the trace's queries are rects, and their cover costs more than a cone's:
+// every node's distance test converts its center to (ra, dec).
+void BM_HtmRectCover(benchmark::State& state) {
+  util::Rng rng{3};
+  std::vector<htm::Region> rects;
+  for (int i = 0; i < 256; ++i) {
+    const double ra = rng.uniform(0.0, 360.0);
+    const double dec = rng.uniform(-80.0, 80.0);
+    const double w = rng.uniform(0.5, 3.0);
+    const double h = rng.uniform(0.5, 3.0);
+    rects.push_back(htm::RaDecRect{std::fmod(ra - w / 2.0 + 360.0, 360.0),
+                                   std::fmod(ra + w / 2.0, 360.0),
+                                   dec - h / 2.0, dec + h / 2.0});
+  }
+  const int level = static_cast<int>(state.range(0));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(htm::cover_region(rects[i++ & 255], level));
+  }
+}
+BENCHMARK(BM_HtmRectCover)->Arg(5)->Arg(6);
 
 void BM_GdsBatchDecision(benchmark::State& state) {
   const std::size_t resident = static_cast<std::size_t>(state.range(0));

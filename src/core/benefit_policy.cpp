@@ -118,10 +118,15 @@ void BenefitPolicy::on_query_async(const workload::Query& q,
 }
 
 void BenefitPolicy::tick() {
-  if (++events_in_window_ >= options_.window) {
-    close_window();
-    events_in_window_ = 0;
-  }
+  if (++events_in_window_ < options_.window || closing_window_) return;
+  // close_window's blocking loads pump deliveries, and every delivered
+  // notice ticks again. Those events belong to the next window: they count
+  // toward it but cannot close it, so a nested close never re-selects (and
+  // re-loads) the object the outer close is still loading.
+  closing_window_ = true;
+  events_in_window_ = 0;
+  close_window();
+  closing_window_ = false;
 }
 
 void BenefitPolicy::evict_lowest_forecast_until_fits() {

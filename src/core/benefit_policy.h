@@ -60,6 +60,7 @@ class BenefitPolicy final : public CachePolicy {
   std::vector<double> would_window_;   // counterfactual savings (non-cached)
   std::vector<double> update_window_;  // update bytes per object
   std::int64_t events_in_window_ = 0;
+  bool closing_window_ = false;  // set while close_window runs
   std::int64_t loads_ = 0;
   std::int64_t evictions_ = 0;
   std::int64_t windows_closed_ = 0;

@@ -26,6 +26,11 @@ double ra_interval_distance_deg(double ra, double lo, double hi) {
 
 }  // namespace
 
+SkyPoint sky_point(const Vec3& p) {
+  const RaDec rd = to_ra_dec(p);
+  return {p, rd, std::cos(degrees_to_radians(rd.dec_deg))};
+}
+
 bool Cone::contains(const Vec3& p) const {
   return angular_distance(center, p) <= radius_rad;
 }
@@ -41,7 +46,11 @@ bool RaDecRect::contains(const Vec3& p) const {
 }
 
 double RaDecRect::distance_to(const Vec3& p) const {
-  const RaDec rd = to_ra_dec(p);
+  return distance_to(sky_point(p));
+}
+
+double RaDecRect::distance_to(const SkyPoint& p) const {
+  const RaDec& rd = p.rd;
   const double ddec =
       rd.dec_deg < dec_lo_deg
           ? dec_lo_deg - rd.dec_deg
@@ -50,7 +59,7 @@ double RaDecRect::distance_to(const Vec3& p) const {
   // Scale the ra offset by cos(dec) to approximate great-circle distance;
   // shrink slightly so the bound stays a lower bound (covers err toward
   // inclusion rather than dropping objects a query actually touches).
-  const double cosd = std::cos(degrees_to_radians(rd.dec_deg));
+  const double cosd = p.cos_dec;
   const double approx_deg =
       std::sqrt(ddec * ddec + dra * cosd * (dra * cosd));
   return 0.9 * degrees_to_radians(approx_deg);
@@ -73,6 +82,13 @@ bool region_contains(const Region& region, const Vec3& p) {
 
 double region_distance_to(const Region& region, const Vec3& p) {
   return std::visit([&](const auto& r) { return r.distance_to(p); }, region);
+}
+
+double region_distance_to(const Region& region, const SkyPoint& p) {
+  if (const auto* rect = std::get_if<RaDecRect>(&region)) {
+    return rect->distance_to(p);
+  }
+  return region_distance_to(region, p.v);
 }
 
 Vec3 region_anchor(const Region& region) {

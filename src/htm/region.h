@@ -10,6 +10,18 @@
 
 namespace delta::htm {
 
+/// A point with the (ra, dec) and cos(dec) that RaDecRect's distance test
+/// derives from it. Mesh node centers carry one precomputed (htm/mesh.h),
+/// so a cover's per-node test skips that trigonometry.
+struct SkyPoint {
+  Vec3 v;
+  RaDec rd;
+  double cos_dec = 1.0;
+};
+
+/// `p` with its (ra, dec) and cos(dec) evaluated.
+SkyPoint sky_point(const Vec3& p);
+
 /// Spherical cap: all points within `radius_rad` of `center`.
 struct Cone {
   Vec3 center{0.0, 0.0, 1.0};
@@ -29,6 +41,7 @@ struct RaDecRect {
 
   [[nodiscard]] bool contains(const Vec3& p) const;
   [[nodiscard]] double distance_to(const Vec3& p) const;
+  [[nodiscard]] double distance_to(const SkyPoint& p) const;
 };
 
 /// Band of half-width `half_width_rad` around the great circle whose pole is
@@ -45,6 +58,8 @@ using Region = std::variant<Cone, RaDecRect, GreatCircleBand>;
 
 bool region_contains(const Region& region, const Vec3& p);
 double region_distance_to(const Region& region, const Vec3& p);
+/// The same bound, reading a rect's inputs from the precomputed SkyPoint.
+double region_distance_to(const Region& region, const SkyPoint& p);
 
 /// Representative interior point (used for seeding covers and tests).
 Vec3 region_anchor(const Region& region);

@@ -1,7 +1,9 @@
 #include "htm/trixel.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "htm/mesh.h"
 #include "util/check.h"
 
 namespace delta::htm {
@@ -98,16 +100,13 @@ Trixel Trixel::child(int i) const {
 
 Trixel Trixel::from_id(HtmId id) {
   const int level = level_of(id);
-  // Decode the child-path digits from the top.
-  std::array<int, 32> digits{};
-  HtmId cursor = id;
-  for (int i = level - 1; i >= 0; --i) {
-    digits[static_cast<std::size_t>(i)] = static_cast<int>(cursor % 4);
-    cursor /= 4;
-  }
-  Trixel t = root(static_cast<int>(cursor - 8));
-  for (int i = 0; i < level; ++i) {
-    t = t.child(digits[static_cast<std::size_t>(i)]);
+  const int memo_level = std::min(level, kMeshMemoDepth);
+  const HtmId memo_id = ancestor_at_level(id, memo_level);
+  const auto memo_index = static_cast<std::size_t>(index_in_level(memo_id));
+  Trixel t{memo_id, mesh_level(memo_level)[memo_index].corners};
+  // Below the memo, follow the child-path digits down from the ancestor.
+  for (int l = memo_level; l < level; ++l) {
+    t = t.child(static_cast<int>((id >> (2 * (level - l - 1))) & 3));
   }
   return t;
 }
@@ -141,13 +140,20 @@ double Trixel::area() const {
 
 HtmId locate(const Vec3& p, int level) {
   const Vec3 unit = normalized(p);
+  const std::vector<MeshNode>& roots = mesh_level(0);
   for (int r = 0; r < 8; ++r) {
-    Trixel t = Trixel::root(r);
+    Trixel t{8 + r, roots[static_cast<std::size_t>(r)].corners};
     if (!t.contains(unit)) continue;
-    for (int l = 0; l < level; ++l) {
+    for (int l = 1; l <= level; ++l) {
+      const MeshNode* table =
+          l <= kMeshMemoDepth ? mesh_level(l).data() : nullptr;
       bool descended = false;
       for (int c = 0; c < 4; ++c) {
-        Trixel ch = t.child(c);
+        const HtmId child = child_of(t.id(), c);
+        const Trixel ch =
+            table != nullptr
+                ? Trixel{child, table[child - first_id_at_level(l)].corners}
+                : t.child(c);
         if (ch.contains(unit)) {
           t = ch;
           descended = true;

@@ -41,10 +41,14 @@ HtmId ancestor_at_level(HtmId id, int ancestor_level);
 /// A spherical triangle of the mesh with its three unit-vector corners.
 class Trixel {
  public:
+  /// A trixel from its id and its mesh corners (as vertices() returns them).
+  Trixel(HtmId id, const std::array<Vec3, 3>& v) : id_(id), v_(v) {}
+
   /// Root trixel (index 0..7, i.e. id 8..15).
   static Trixel root(int index);
 
-  /// Trixel for an arbitrary id (walks down from the root; O(level)).
+  /// Trixel for an arbitrary id: a table read up to kMeshMemoDepth
+  /// (htm/mesh.h), subdivided from the deepest memoized ancestor below it.
   static Trixel from_id(HtmId id);
 
   [[nodiscard]] HtmId id() const { return id_; }
@@ -68,13 +72,12 @@ class Trixel {
   [[nodiscard]] double area() const;
 
  private:
-  Trixel(HtmId id, const std::array<Vec3, 3>& v) : id_(id), v_(v) {}
-
   HtmId id_;
   std::array<Vec3, 3> v_;
 };
 
-/// Locates the level-`level` trixel containing point p. O(level).
+/// Locates the level-`level` trixel containing point p. O(level); reads
+/// the memoized mesh (htm/mesh.h) down to kMeshMemoDepth.
 HtmId locate(const Vec3& p, int level);
 
 }  // namespace delta::htm

@@ -15,6 +15,12 @@ SkyCatalog::SkyCatalog(std::shared_ptr<const htm::PartitionMap> map,
   DELTA_CHECK(map_->base_level() == density.base_level());
   DELTA_CHECK(row_bytes_.count() > 0);
   base_rows_ = density.weights();
+  base_area_.reserve(base_rows_.size());
+  for (std::int64_t i = 0; i < map_->base_trixel_count(); ++i) {
+    base_area_.push_back(
+        htm::Trixel::from_id(htm::id_from_index(map_->base_level(), i))
+            .area());
+  }
   initial_rows_.assign(map_->partition_count(), 0.0);
   for (std::int64_t i = 0; i < map_->base_trixel_count(); ++i) {
     const ObjectId o = map_->object_for_base_index(i);
@@ -107,9 +113,7 @@ double SkyCatalog::estimate_rows_with_cover(
     const double growth =
         initial_rows_[oi] > 0.0 ? current_rows_[oi] / initial_rows_[oi] : 1.0;
     cover_rows += base_rows_[static_cast<std::size_t>(idx)] * growth;
-    cover_area +=
-        htm::Trixel::from_id(htm::id_from_index(map_->base_level(), idx))
-            .area();
+    cover_area += base_area_[static_cast<std::size_t>(idx)];
   }
   if (cover_area <= 0.0) return 0.0;
   const double area = std::min(region_area(region), cover_area);

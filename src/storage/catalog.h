@@ -60,6 +60,12 @@ class SkyCatalog {
       const htm::Region& region,
       const std::vector<std::int32_t>& base_indices) const;
 
+  /// Area (steradians) of every base trixel, in index_in_level order;
+  /// computed once at construction.
+  [[nodiscard]] const std::vector<double>& base_areas() const {
+    return base_area_;
+  }
+
   /// Analytic area (steradians) of a region; exposed for workload sizing.
   [[nodiscard]] static double region_area(const htm::Region& region);
 
@@ -67,6 +73,7 @@ class SkyCatalog {
   std::shared_ptr<const htm::PartitionMap> map_;
   Bytes row_bytes_;
   std::vector<double> base_rows_;       // per base trixel, at build time
+  std::vector<double> base_area_;       // per base trixel, steradians
   std::vector<double> initial_rows_;    // per object
   std::vector<double> current_rows_;    // per object (grows with inserts)
   std::vector<std::int64_t> versions_;  // per object

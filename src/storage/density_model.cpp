@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "htm/mesh.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -36,9 +37,8 @@ DensityModel::DensityModel(int base_level, std::uint64_t seed,
   }
 
   for (std::int64_t i = 0; i < count; ++i) {
-    const htm::Trixel t =
-        htm::Trixel::from_id(htm::id_from_index(base_level, i));
-    const htm::Vec3 c = t.center();
+    const htm::Vec3 c =
+        htm::mesh_node(htm::id_from_index(base_level, i)).center.v;
     if (htm::angular_distance(c, footprint_center) >
         params.footprint_radius_rad) {
       continue;  // outside the survey footprint

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/experiment.h"
 #include "trace_builder.h"
+#include "workload/synthetic_trace.h"
 
 namespace delta::core {
 namespace {
@@ -161,6 +163,41 @@ TEST(BenefitPolicyTest, WindowCountMatchesEventCount) {
   Harness h{b.build(), opts};
   h.replay();
   EXPECT_EQ(h.policy.windows_closed(), 4);  // 20 events / 5 per window
+}
+
+// Window closes that pump the network must not re-enter. A blocking
+// load_object inside close_window delivers invalidation notices, and each
+// notice ticks the window again; before the guard, that nested tick ran a
+// second close_window which loaded the object the outer close was still
+// loading, and the outer frame then aborted with "already cached". This is
+// the smallest open-loop YCSB-A run found to abort that way.
+TEST(BenefitPolicyTest, WindowCloseDoesNotReenterThroughNotices) {
+  const auto trace =
+      workload::SyntheticTraceGenerator{
+          workload::ycsb_params(workload::YcsbMix::kA, 5'000, 20'000)}
+          .generate(1);
+  sim::EventEngineOptions engine;
+  engine.default_link = net::LinkModel{12.5e6, 0.040};  // 100 Mbit/40 ms
+  engine.open_loop.enabled = true;
+  engine.open_loop.rate_per_sec = 200;
+  engine.open_loop.max_in_flight = 64;
+  engine.protocol.enabled = true;
+  engine.notice_batching.enabled = true;
+  Bytes server;
+  for (const Bytes b : trace.initial_object_bytes) server += b;
+  const Bytes per_cache{static_cast<std::int64_t>(server.as_double() * 0.15)};
+  sim::SetupParams params;
+  params.benefit_window = 1'000;
+
+  sim::EventRunResult r;
+  ASSERT_NO_THROW(r = sim::run_one_event(sim::PolicyKind::kBenefit, trace,
+                                         per_cache, params, 2,
+                                         workload::SplitStrategy::kRoundRobin,
+                                         engine));
+  const auto& c = r.replay.combined;
+  EXPECT_EQ(c.queries, static_cast<std::int64_t>(trace.queries.size()));
+  // Window closes loaded objects (the load mechanism moved bytes).
+  EXPECT_GT(c.postwarmup_by_mechanism[2].count(), 0);
 }
 
 }  // namespace
