@@ -11,12 +11,38 @@
 //   { u : u not in S }  ∪  { q : q in S }
 // and its weight equals the max-flow value (LP duality).
 //
-// The solver is incremental in both directions:
+// The solver is incremental in its flow:
 //  * additions (new queries, updates, interaction edges) leave the previous
 //    flow valid, so the next compute() only augments the difference;
 //  * removals (the remainder-subgraph rule, object eviction/loading) cancel
 //    the flow routed through the removed vertex before deleting it, leaving
 //    a smaller but still feasible flow.
+//
+// It is also incremental in its search: compute() costs O(touched
+// components), not O(live graph). Call the connected components of the
+// update–query graph (interaction edges only, anchors to s and t excluded)
+// its components. An augmenting path, and a residual path from s, meets s
+// only where it starts; at max flow none passes through t. So every such
+// path stays inside one component, and a component whose vertices, edges
+// and weights have not changed since the last compute() is still at max
+// flow with an unchanged min-cut side. The solver marks a vertex dirty when
+//  * it is added (add_update, add_query),
+//  * it is an endpoint of a new edge (connect),
+//  * it is re-weighted (add_weight),
+//  * it is a neighbour of a vertex removed by remove_update or
+//    remove_query_force (remove_query only takes isolated vertices).
+// compute() flood-fills the dirty vertices' components over interaction
+// edges, runs the engine seeded at those components' s->u anchors (the
+// engine never expands t), and refreshes per-vertex reachability for those
+// components only. The covered update set and the total flow are kept as
+// running figures; a clean component's share of both was checked for
+// duality when it was last re-solved.
+//
+// Cover::updates lists the covered update vertices in descending add_update
+// order — the order of the source's head-inserted adjacency list, which the
+// UpdateManager's ship order (and so uplink timing) follows. Seeds are
+// drained in that same order, so the engine routes exactly the flow a
+// whole-network run would.
 //
 // The max-flow engine is a template parameter. The default is flow::Dinic
 // (level-graph blocking flow; its final failed BFS doubles as the min-cut
@@ -106,7 +132,7 @@ class BasicBipartiteCoverSolver {
          e = net_.edge(e).next) {
       const auto& ed = net_.edge(e);
       if (ed.cap == 0) continue;  // the u->s anchor reverse
-      fn(QueryNode{ed.to, generation_[static_cast<std::size_t>(ed.to)]});
+      fn(QueryNode{ed.to, slot(ed.to).generation});
     }
   }
 
@@ -119,7 +145,7 @@ class BasicBipartiteCoverSolver {
          e = net_.edge(e).next) {
       const auto& ed = net_.edge(e);
       if (ed.cap > 0) continue;  // the q->t anchor
-      fn(UpdateNode{ed.to, generation_[static_cast<std::size_t>(ed.to)]});
+      fn(UpdateNode{ed.to, slot(ed.to).generation});
     }
   }
 
@@ -136,16 +162,30 @@ class BasicBipartiteCoverSolver {
   [[nodiscard]] bool alive(QueryNode q) const;
   [[nodiscard]] bool alive(UpdateNode u) const;
 
-  struct Cover {
+  class Cover {
+   public:
+    /// Covered update vertices, in descending add_update order.
     std::vector<UpdateNode> updates;
-    std::vector<QueryNode> queries;
     Capacity weight = 0;
+
+    /// Covered query vertices, in descending add_query order. Built on the
+    /// first call by a walk of the whole query side (O(live graph)), so the
+    /// replay hot path never calls it. Valid while the graph is unchanged
+    /// since the compute() that produced this cover.
+    [[nodiscard]] const std::vector<QueryNode>& queries() const;
+
+   private:
+    friend class BasicBipartiteCoverSolver;
+    const BasicBipartiteCoverSolver* owner_ = nullptr;
+    std::int64_t compute_id_ = 0;  // owner's compute() count when taken
+    mutable std::vector<QueryNode> queries_;
+    mutable bool queries_built_ = false;
   };
 
   /// Computes the minimum-weight vertex cover of the current graph,
-  /// augmenting incrementally from the previous flow. The returned
-  /// reference points at solver-owned scratch, valid until the next
-  /// compute() call.
+  /// re-solving only the components touched since the last call and
+  /// augmenting from the previous flow. The returned reference points at
+  /// solver-owned scratch, valid until the next compute() call.
   const Cover& compute();
 
   /// True when the given vertex was selected by the most recent compute().
@@ -156,11 +196,18 @@ class BasicBipartiteCoverSolver {
   [[nodiscard]] std::size_t update_count() const { return update_count_; }
   [[nodiscard]] std::size_t query_count() const { return query_count_; }
   [[nodiscard]] std::size_t interaction_count() const;
-  [[nodiscard]] Capacity current_flow() const;
+  /// Total flow, kept as a running figure (O(1)).
+  [[nodiscard]] Capacity current_flow() const { return flow_; }
   [[nodiscard]] std::int64_t bfs_count() const { return solver_.bfs_count(); }
+  /// Nodes scanned by compute() so far: the dirty-component flood fill plus
+  /// the engine's searches. Deterministic; the locality tests gate on it.
+  [[nodiscard]] std::int64_t nodes_scanned() const {
+    return flood_scanned_ + solver_.nodes_scanned();
+  }
 
-  /// Validates that the last computed cover touches every interaction edge
-  /// and that its weight equals the max-flow value. O(V+E); test hook.
+  /// Validates, over the whole graph, that the last computed cover touches
+  /// every interaction edge and that its weight equals both the running
+  /// flow and the flow out of the source. O(V+E); test hook.
   [[nodiscard]] bool last_cover_is_valid() const;
 
   /// Direct access to the underlying network (benchmarks, tests).
@@ -173,15 +220,47 @@ class BasicBipartiteCoverSolver {
   Engine solver_;
 
   enum class Side : std::uint8_t { kFree, kUpdate, kQuery };
-  std::vector<Side> side_;                // indexed by NodeIndex
-  std::vector<std::uint32_t> generation_; // bumped on node removal
-  std::vector<EdgeId> anchor_edge_;       // s->u or q->t edge
+  /// Per-vertex state, indexed by NodeIndex.
+  struct Slot {
+    Side side = Side::kFree;
+    bool reachable = false;  // source side of the min cut, as last solved
+    bool dirty = false;      // queued in dirty_
+    std::uint32_t generation = 0;  // bumped on node removal
+    std::uint32_t fill_stamp = 0;  // == fill_epoch_ once flood-filled
+    EdgeId anchor = kNoEdge;       // s->u or q->t edge
+    std::int32_t cover_pos = -1;   // index in covered_updates_, or -1
+    std::uint64_t order = 0;       // add_update/add_query sequence number
+  };
+  std::vector<Slot> slots_;
+  std::uint64_t next_order_ = 0;
   std::size_t update_count_ = 0;
   std::size_t query_count_ = 0;
-  bool cover_fresh_ = false;
-  Cover cover_;  // compute() scratch, reused across calls
+  Capacity flow_ = 0;
+  std::vector<NodeIndex> covered_updates_;  // unordered between computes
+  std::vector<NodeIndex> dirty_;
 
-  void ensure_slot(NodeIndex v);
+  // compute() scratch, reused across calls.
+  std::uint32_t fill_epoch_ = 0;
+  std::vector<NodeIndex> component_nodes_;  // re-solved components, packed
+  std::vector<std::size_t> component_ends_;
+  std::vector<EdgeId> seed_arcs_;
+  std::int64_t flood_scanned_ = 0;
+  std::int64_t compute_count_ = 0;
+  bool cover_fresh_ = false;
+  Cover cover_;
+
+  [[nodiscard]] Slot& slot(NodeIndex v) {
+    return slots_[static_cast<std::size_t>(v)];
+  }
+  [[nodiscard]] const Slot& slot(NodeIndex v) const {
+    return slots_[static_cast<std::size_t>(v)];
+  }
+  NodeIndex add_vertex(Side side, Capacity weight);
+  void release_vertex(NodeIndex v);
+  void mark_dirty(NodeIndex v);
+  void set_update_covered(NodeIndex u, bool covered);
+  void collect_dirty_components();
+  void refresh_components();
   void check_handle(NodeIndex v, std::uint32_t gen, Side side) const;
 };
 

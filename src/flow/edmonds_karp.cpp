@@ -19,33 +19,47 @@ void EdmondsKarp::ensure_scratch() {
   }
 }
 
-bool EdmondsKarp::bfs_to_sink() {
+void EdmondsKarp::next_epoch() {
   ensure_scratch();
-  ++epoch_;
-  ++bfs_count_;
+  if (++epoch_ == 0) {  // wrapped: no stale stamp may alias the new epoch
+    std::fill(visit_epoch_.begin(), visit_epoch_.end(), 0);
+    epoch_ = 1;
+  }
   queue_.clear();
-  queue_.push_back(source_);
   visit_epoch_[static_cast<std::size_t>(source_)] = epoch_;
+}
+
+bool EdmondsKarp::bfs_to_sink(std::span<const EdgeId> source_arcs) {
+  next_epoch();
+  ++bfs_count_;
+  // Labels w via arc e; true when w is the sink (which is never expanded).
+  const auto visit = [this](EdgeId e) {
+    const NodeIndex w = net_->edge(e).to;
+    auto& stamp = visit_epoch_[static_cast<std::size_t>(w)];
+    if (stamp == epoch_) return false;
+    stamp = epoch_;
+    parent_edge_[static_cast<std::size_t>(w)] = e;
+    if (w == sink_) return true;
+    queue_.push_back(w);
+    return false;
+  };
+  for (const EdgeId a : source_arcs) {
+    DELTA_DCHECK(net_->edge(a).from == source_);
+    if (net_->residual(a) > 0 && visit(a)) return true;
+  }
   for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
-    const NodeIndex v = queue_[qi];
-    for (EdgeId e = net_->first_edge(v); e != kNoEdge;
+    ++nodes_scanned_;
+    for (EdgeId e = net_->first_edge(queue_[qi]); e != kNoEdge;
          e = net_->edge(e).next) {
-      if (net_->residual(e) <= 0) continue;
-      const NodeIndex w = net_->edge(e).to;
-      auto& stamp = visit_epoch_[static_cast<std::size_t>(w)];
-      if (stamp == epoch_) continue;
-      stamp = epoch_;
-      parent_edge_[static_cast<std::size_t>(w)] = e;
-      if (w == sink_) return true;
-      queue_.push_back(w);
+      if (net_->residual(e) > 0 && visit(e)) return true;
     }
   }
   return false;
 }
 
-Capacity EdmondsKarp::run_to_max() {
+Capacity EdmondsKarp::run_to_max(std::span<const EdgeId> source_arcs) {
   Capacity added = 0;
-  while (bfs_to_sink()) {
+  while (bfs_to_sink(source_arcs)) {
     // Bottleneck along the parent chain.
     Capacity bottleneck = kInfiniteCapacity;
     for (NodeIndex v = sink_; v != source_;) {
@@ -61,17 +75,24 @@ Capacity EdmondsKarp::run_to_max() {
     }
     added += bottleneck;
   }
+  // The failed search visited exactly the residual-reachable nodes.
   return added;
+}
+
+Capacity EdmondsKarp::run_to_max() {
+  all_arcs_.clear();
+  for (EdgeId e = net_->first_edge(source_); e != kNoEdge;
+       e = net_->edge(e).next) {
+    all_arcs_.push_back(e);
+  }
+  return run_to_max(all_arcs_);
 }
 
 Capacity EdmondsKarp::total_flow() const { return net_->outflow(source_); }
 
 void EdmondsKarp::compute_reachability() {
-  ensure_scratch();
-  ++epoch_;
-  queue_.clear();
+  next_epoch();
   queue_.push_back(source_);
-  visit_epoch_[static_cast<std::size_t>(source_)] = epoch_;
   for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
     const NodeIndex v = queue_[qi];
     for (EdgeId e = net_->first_edge(v); e != kNoEdge;

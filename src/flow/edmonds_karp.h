@@ -6,9 +6,15 @@
 // *additional* augmenting paths. Over a whole query/update sequence the time
 // spent augmenting is bounded by one full O(nm^2) computation on the final
 // network, versus O(n^2 m^2) for recomputing from scratch every time (§4).
+//
+// It shares Dinic's seeded entry point: run_to_max(source_arcs) searches
+// only from the given arcs out of the source, and its final failed search
+// leaves reachable() exact for every node those arcs reach (see dinic.h for
+// why that solves the seeded components exactly).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "flow/network.h"
@@ -21,14 +27,19 @@ class EdmondsKarp {
   /// and lose nodes/edges between calls as long as the flow stays feasible.
   EdmondsKarp(FlowNetwork& net, NodeIndex source, NodeIndex sink);
 
-  /// Augments the current flow to a maximum flow; returns the flow added by
-  /// this call (zero when the existing flow was already maximum).
+  /// Augments the current flow along paths that leave the source through
+  /// `source_arcs` until none is left; returns the flow added. Afterwards
+  /// reachable(v) answers min-cut membership for every node reachable
+  /// through those arcs.
+  Capacity run_to_max(std::span<const EdgeId> source_arcs);
+
+  /// Whole-network form: seeds with every arc out of the source.
   Capacity run_to_max();
 
   /// Current total flow out of the source.
   [[nodiscard]] Capacity total_flow() const;
 
-  /// Recomputes residual reachability from the source; afterwards
+  /// Recomputes residual reachability from the whole source; afterwards
   /// `reachable(v)` answers membership in the source side of a min cut.
   void compute_reachability();
   [[nodiscard]] bool reachable(NodeIndex v) const;
@@ -36,6 +47,10 @@ class EdmondsKarp {
   /// Cumulative number of augmenting-path searches (BFS runs), for the
   /// incremental-vs-scratch micro benchmark.
   [[nodiscard]] std::int64_t bfs_count() const { return bfs_count_; }
+
+  /// Cumulative number of nodes whose adjacency run_to_max()'s searches
+  /// scanned (deterministic, like Dinic::nodes_scanned()).
+  [[nodiscard]] std::int64_t nodes_scanned() const { return nodes_scanned_; }
 
  private:
   FlowNetwork* net_;
@@ -47,11 +62,15 @@ class EdmondsKarp {
   std::vector<std::uint32_t> visit_epoch_;
   std::vector<EdgeId> parent_edge_;
   std::vector<NodeIndex> queue_;
+  std::vector<EdgeId> all_arcs_;  // run_to_max() seeds
   std::uint32_t epoch_ = 0;
   std::int64_t bfs_count_ = 0;
+  std::int64_t nodes_scanned_ = 0;
 
   void ensure_scratch();
-  bool bfs_to_sink();  // fills parent_edge_; true when sink reached
+  void next_epoch();  // fresh stamp, source labelled, queue empty
+  /// Fills parent_edge_ from the seed arcs; true when the sink is reached.
+  bool bfs_to_sink(std::span<const EdgeId> source_arcs);
 };
 
 /// From-scratch max flow (zeroes nothing: assumes the given network's flow is

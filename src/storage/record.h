@@ -1,12 +1,9 @@
-// PhotoObj-style record stub. The real SDSS PhotoObj table carries ~700
-// physical attributes per astronomical body at roughly 2 KB per row; the
-// stub keeps the identifying and positional attributes materialized and
-// models the remaining payload by `kModeledRowBytes` (the size used for all
-// network-cost accounting, matching the paper's bytes-proportional costs).
+// PhotoObj row size. The real SDSS PhotoObj table carries ~700 physical
+// attributes per astronomical body at roughly 2 KB per row; the catalog
+// models rows by count only and charges `kModeledRowBytes` each (the size
+// used for all network-cost accounting, matching the paper's
+// bytes-proportional costs).
 #pragma once
-
-#include <array>
-#include <cstdint>
 
 #include "util/types.h"
 
@@ -14,17 +11,5 @@ namespace delta::storage {
 
 /// Modeled on-wire/on-disk footprint of one PhotoObj row.
 inline constexpr Bytes kModeledRowBytes{2048};
-
-struct PhotoObjRecord {
-  std::int64_t obj_id = 0;
-  double ra_deg = 0.0;
-  double dec_deg = 0.0;
-  /// PSF magnitudes in the five SDSS bands (u, g, r, i, z).
-  std::array<float, 5> psf_mag{};
-  /// Photometry quality flags.
-  std::uint32_t flags = 0;
-  /// Imaging run that produced the row (bumped by updates).
-  std::int32_t run = 0;
-};
 
 }  // namespace delta::storage

@@ -2,7 +2,9 @@
 //  * cover weight equals a brute-force minimum on random small graphs;
 //  * the cover stays valid (every edge covered) under random incremental
 //    add/remove workloads mimicking the UpdateManager's remainder pruning;
-//  * incremental flow equals from-scratch flow after every mutation batch.
+//  * incremental flow equals from-scratch flow after every mutation batch;
+//  * the component-local compute() matches a whole-graph oracle exactly
+//    (cover lists, order and weight) under churn on many small components.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "flow/bipartite_cover.h"
+#include "flow/dinic.h"
 #include "flow/edmonds_karp.h"
 #include "util/rng.h"
 
@@ -249,7 +252,7 @@ struct SolverPair {
     };
     EXPECT_EQ(indices_of(dc.updates), indices_of(ec.updates))
         << "step " << step << ": cover update sets differ";
-    EXPECT_EQ(indices_of(dc.queries), indices_of(ec.queries))
+    EXPECT_EQ(indices_of(dc.queries()), indices_of(ec.queries()))
         << "step " << step << ": cover query sets differ";
   }
 };
@@ -324,7 +327,7 @@ TEST(EngineDifferentialTest, EqualWeightTiesResolveIdentically) {
   ASSERT_EQ(dc.weight, 20);
   ASSERT_EQ(ec.weight, 20);
   EXPECT_EQ(dc.updates.size(), ec.updates.size());
-  EXPECT_EQ(dc.queries.size(), ec.queries.size());
+  EXPECT_EQ(dc.queries().size(), ec.queries().size());
   EXPECT_EQ(dinic.in_last_cover(du1), ek.in_last_cover(eu1));
   EXPECT_EQ(dinic.in_last_cover(du2), ek.in_last_cover(eu2));
   EXPECT_EQ(dinic.in_last_cover(dq1), ek.in_last_cover(eq1));
@@ -334,6 +337,197 @@ TEST(EngineDifferentialTest, EqualWeightTiesResolveIdentically) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineDifferentialTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
                                            34u, 55u, 89u));
+
+// ------------------------------------------------------------------------
+// Component-local compute() vs a whole-graph oracle. compute() re-solves
+// only the components touched since the previous call; the oracle re-solves
+// everything from zero flow and reads the minimal min cut by a plain BFS
+// from the source over the whole residual network. The graphs are many
+// small components (vertices carry a group; edges mostly stay inside it,
+// occasionally bridging two), which is the shape where a wrong dirty mark
+// leaves a stale component behind.
+
+/// The cover a from-scratch whole-graph solve extracts, in the solver's
+/// list order: updates by the source's adjacency list, queries by the
+/// sink's (both newest first).
+struct OracleCover {
+  std::vector<NodeIndex> updates;
+  std::vector<NodeIndex> queries;
+  Capacity weight = 0;
+};
+
+OracleCover oracle_cover(const FlowNetwork& live) {
+  constexpr NodeIndex kSource = 0;  // by the solver's construction order
+  constexpr NodeIndex kSink = 1;
+  FlowNetwork net = live.zero_flow_copy();
+  OracleCover out;
+  out.weight = max_flow_dinic(net, kSource, kSink);
+  std::vector<char> reach(net.node_bound(), 0);
+  std::vector<NodeIndex> queue{kSource};
+  reach[kSource] = 1;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    for (EdgeId e = net.first_edge(queue[i]); e != kNoEdge;
+         e = net.edge(e).next) {
+      const NodeIndex w = net.edge(e).to;
+      if (net.residual(e) <= 0 || reach[static_cast<std::size_t>(w)]) {
+        continue;
+      }
+      reach[static_cast<std::size_t>(w)] = 1;
+      queue.push_back(w);
+    }
+  }
+  for (EdgeId e = net.first_edge(kSource); e != kNoEdge;
+       e = net.edge(e).next) {
+    const NodeIndex u = net.edge(e).to;
+    if (!reach[static_cast<std::size_t>(u)]) out.updates.push_back(u);
+  }
+  for (EdgeId e = net.first_edge(kSink); e != kNoEdge;
+       e = net.edge(e).next) {
+    const NodeIndex q = net.edge(e).to;
+    if (reach[static_cast<std::size_t>(q)]) out.queries.push_back(q);
+  }
+  return out;
+}
+
+template <typename Solver>
+struct ChurnDriver {
+  using U = typename Solver::UpdateNode;
+  using Q = typename Solver::QueryNode;
+  static constexpr std::int64_t kGroups = 24;
+
+  Solver solver;
+  util::Rng rng;
+  std::vector<std::pair<U, std::int64_t>> updates;  // (handle, group)
+  std::vector<std::pair<Q, std::int64_t>> queries;
+  int computes = 0;
+
+  explicit ChurnDriver(std::uint64_t seed) : rng(seed) {}
+
+  std::size_t pick(std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  }
+  std::int64_t group() { return rng.uniform_int(0, kGroups - 1); }
+
+  /// Connects q to a random live update of `g` (or, rarely, of any group,
+  /// bridging two components); skips edges that already exist.
+  void connect_somewhere(Q q, std::int64_t g) {
+    std::vector<U> candidates;
+    const bool bridge = rng.bernoulli(0.08);
+    for (const auto& [u, ug] : updates) {
+      if (bridge || ug == g) candidates.push_back(u);
+    }
+    if (candidates.empty()) return;
+    const U u = candidates[pick(candidates.size())];
+    const auto present = solver.neighbors(q);
+    if (std::find(present.begin(), present.end(), u) != present.end()) return;
+    solver.connect(u, q);
+  }
+
+  void prune_isolated_queries() {
+    for (std::size_t i = queries.size(); i-- > 0;) {
+      if (solver.degree(queries[i].first) == 0) {
+        solver.remove_query(queries[i].first);
+        queries.erase(queries.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    }
+  }
+
+  /// The crash-restart wipe, in UpdateManager::clear()'s order: query
+  /// vertices first (forced: they may still carry edges), then updates.
+  void crash_restart() {
+    for (const auto& [q, g] : queries) solver.remove_query_force(q);
+    for (const auto& [u, g] : updates) solver.remove_update(u);
+    queries.clear();
+    updates.clear();
+  }
+
+  void step() {
+    const double roll = rng.next_double();
+    if (roll < 0.22 || updates.empty()) {
+      updates.emplace_back(solver.add_update(rng.uniform_int(1, 40)), group());
+    } else if (roll < 0.50 || queries.empty()) {
+      const std::int64_t g = group();
+      const Q q = solver.add_query(rng.uniform_int(1, 40));
+      queries.emplace_back(q, g);
+      const auto links = rng.uniform_int(0, 2);
+      for (std::int64_t i = 0; i < links; ++i) connect_somewhere(q, g);
+    } else if (roll < 0.62) {
+      const auto& [q, g] = queries[pick(queries.size())];
+      connect_somewhere(q, g);
+    } else if (roll < 0.72) {
+      if (rng.bernoulli(0.5)) {
+        solver.add_weight(queries[pick(queries.size())].first,
+                          rng.uniform_int(1, 20));
+      } else {
+        solver.add_weight(updates[pick(updates.size())].first,
+                          rng.uniform_int(1, 20));
+      }
+    } else if (roll < 0.88) {
+      // Ship or evict an update group; the remainder rule then prunes the
+      // queries it left isolated.
+      const std::size_t i = pick(updates.size());
+      solver.remove_update(updates[i].first);
+      updates.erase(updates.begin() + static_cast<std::ptrdiff_t>(i));
+      prune_isolated_queries();
+    } else {
+      const std::size_t i = pick(queries.size());
+      solver.remove_query_force(queries[i].first);
+      queries.erase(queries.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  }
+
+  void compute_and_compare(int at) {
+    const auto& cover = solver.compute();
+    ++computes;
+    const OracleCover want = oracle_cover(solver.network());
+    std::vector<NodeIndex> got_updates;
+    for (const U u : cover.updates) got_updates.push_back(u.index);
+    std::vector<NodeIndex> got_queries;
+    for (const Q q : cover.queries()) got_queries.push_back(q.index);
+    ASSERT_EQ(got_updates, want.updates) << "step " << at;
+    ASSERT_EQ(got_queries, want.queries) << "step " << at;
+    ASSERT_EQ(cover.weight, want.weight) << "step " << at;
+    ASSERT_EQ(solver.current_flow(), want.weight) << "step " << at;
+    ASSERT_TRUE(solver.last_cover_is_valid()) << "step " << at;
+    ASSERT_TRUE(solver.network().flow_is_feasible(0, 1)) << "step " << at;
+    for (const U u : cover.updates) ASSERT_TRUE(solver.in_last_cover(u));
+  }
+
+  void run(int steps) {
+    for (int at = 0; at < steps; ++at) {
+      if (at == steps / 2) crash_restart();
+      step();
+      if (rng.bernoulli(0.4)) {
+        compute_and_compare(at);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    compute_and_compare(steps);
+  }
+};
+
+template <typename Solver>
+void run_churn(std::uint64_t seed) {
+  ChurnDriver<Solver> driver{seed};
+  driver.run(600);
+  EXPECT_GT(driver.computes, 150);
+}
+
+class ComponentLocalDifferentialTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ComponentLocalDifferentialTest, DinicMatchesWholeGraphOracle) {
+  run_churn<DinicSolver>(GetParam() * 104729 + 11);
+}
+
+TEST_P(ComponentLocalDifferentialTest, EdmondsKarpMatchesWholeGraphOracle) {
+  run_churn<EkSolver>(GetParam() * 104729 + 11);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ComponentLocalDifferentialTest,
+                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
+                                           34u));
 
 }  // namespace
 }  // namespace delta::flow

@@ -6,8 +6,6 @@
 #include "htm/partition_map.h"
 #include "storage/catalog.h"
 #include "storage/density_model.h"
-#include "storage/record_store.h"
-#include "util/rng.h"
 
 namespace delta::storage {
 namespace {
@@ -148,77 +146,6 @@ TEST(SkyCatalogTest, EstimateRowsSeesGrowth) {
   cat.apply_insert(owner, cat.object_rows(owner));  // double the object
   const double after = cat.estimate_rows(probe);
   EXPECT_GT(after, before);
-}
-
-TEST(RecordStoreTest, MaterializesRequestedCount) {
-  const auto d = make_density();
-  const auto map = make_map(*d);
-  RecordStore store{*map, *d, 20000, 99};
-  EXPECT_NEAR(static_cast<double>(store.record_count()), 20000.0, 500.0);
-}
-
-TEST(RecordStoreTest, RecordsLieInTheirPartition) {
-  const auto d = make_density();
-  const auto map = make_map(*d);
-  RecordStore store{*map, *d, 5000, 123};
-  for (std::size_t i = 0; i < map->partition_count(); ++i) {
-    const ObjectId o{static_cast<std::int64_t>(i)};
-    for (const auto& rec : store.records_of(o)) {
-      const htm::Vec3 p = htm::from_ra_dec(rec.ra_deg, rec.dec_deg);
-      EXPECT_EQ(map->object_for_point(p), o);
-    }
-  }
-}
-
-TEST(RecordStoreTest, QueryReturnsOnlyContainedRecords) {
-  const auto d = make_density();
-  const auto map = make_map(*d);
-  RecordStore store{*map, *d, 20000, 7};
-  const htm::Region probe = htm::Cone{htm::from_ra_dec(185.0, 32.0), 0.15};
-  const auto objects = map->objects_for_region(probe);
-  const auto hits = store.query(probe, objects);
-  for (const auto& rec : hits) {
-    EXPECT_TRUE(htm::region_contains(
-        probe, htm::from_ra_dec(rec.ra_deg, rec.dec_deg)));
-  }
-  // Cross-check against a full scan over all partitions.
-  std::size_t expected = 0;
-  for (std::size_t i = 0; i < map->partition_count(); ++i) {
-    for (const auto& rec :
-         store.records_of(ObjectId{static_cast<std::int64_t>(i)})) {
-      if (htm::region_contains(probe,
-                               htm::from_ra_dec(rec.ra_deg, rec.dec_deg))) {
-        ++expected;
-      }
-    }
-  }
-  EXPECT_EQ(hits.size(), expected);
-}
-
-TEST(RecordStoreTest, InsertAppendsInsidePartition) {
-  const auto d = make_density();
-  const auto map = make_map(*d);
-  RecordStore store{*map, *d, 1000, 5};
-  util::Rng rng{77};
-  ObjectId target = ObjectId::invalid();
-  for (std::size_t i = 0; i < map->partition_count(); ++i) {
-    const ObjectId o{static_cast<std::int64_t>(i)};
-    if (!store.records_of(o).empty()) {
-      target = o;
-      break;
-    }
-  }
-  ASSERT_TRUE(target.valid());
-  const auto before = store.records_of(target).size();
-  store.insert(target, 50, rng, /*run=*/3);
-  EXPECT_EQ(store.records_of(target).size(), before + 50);
-  for (std::size_t i = before; i < store.records_of(target).size(); ++i) {
-    const auto& rec = store.records_of(target)[i];
-    EXPECT_EQ(rec.run, 3);
-    EXPECT_EQ(map->object_for_point(
-                  htm::from_ra_dec(rec.ra_deg, rec.dec_deg)),
-              target);
-  }
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ CoverLabels labels_of(const Solver::Cover& cover, const Mirror& mirror) {
   for (const auto u : cover.updates) {
     out.updates.push_back(label_of(u, mirror.updates));
   }
-  for (const auto q : cover.queries) {
+  for (const auto q : cover.queries()) {
     out.queries.push_back(label_of(q, mirror.queries));
   }
   std::sort(out.updates.begin(), out.updates.end());
