@@ -11,6 +11,7 @@
 
 #include "core/cache_node.h"
 #include "core/server_node.h"
+#include "sim/replay_core.h"
 #include "util/check.h"
 #include "util/event_queue.h"
 #include "util/thread_pool.h"
@@ -19,20 +20,8 @@ namespace delta::sim {
 
 namespace {
 
-std::array<Bytes, 3> mechanism_snapshot(const net::TrafficMeter& meter) {
-  return {meter.total(net::Mechanism::kQueryShip),
-          meter.total(net::Mechanism::kUpdateShip),
-          meter.total(net::Mechanism::kObjectLoad)};
-}
-
-/// A per-query yardstick sample, tagged with its position in the merged
-/// trace order so the combined streams can be re-added in the canonical
-/// (global event) order regardless of which worker produced them.
-struct QuerySample {
-  std::int64_t order_pos = 0;
-  double response = 0.0;
-  double lag = 0.0;
-};
+using detail::mechanism_snapshot;
+using detail::QuerySample;
 
 /// One staleness observation: invalidation delivery time (the partition
 /// clock instant the notice landed) and the ingest->delivery gap. Each
@@ -103,14 +92,7 @@ struct EventShard {
   bool record_tapes = true;
 
   RunResult result;  // the per-endpoint view, identical shape to sync's
-  /// This replica's whole-transport figure series; every message of a run
-  /// lands in exactly one replica, so summing these pointwise reconstructs
-  /// the combined series exactly (integer byte counts in doubles).
-  util::CumulativeSeries aggregate_series;
-  std::array<Bytes, 3> aggregate_at_warmup{};
-  std::array<Bytes, 3> aggregate_final{};
-  Bytes aggregate_total;
-  Bytes aggregate_overhead;
+  detail::ReplicaTotals aggregate;
 
   /// Exact reservation counts, all derived from the routing table on the
   /// calling thread so the hot loop never reallocates AND never
@@ -250,12 +232,9 @@ struct EventShard {
   }
 };
 
-// NOTE: this loop replays the same event semantics as sim/simulator.cpp's
-// run_policy and sim/multi_cache.cpp's engines (warm-up capture, counter
-// accounting, series observation) — the replay loops move together. Over
-// zero-latency links SimGoldenTest.EventEngine... pins this engine to the
-// same golden tables; event_engine_test pins bit-identity across thread
-// counts on the WAN configs.
+// Over zero-latency links SimGoldenTest.EventEngine... pins this loop to the
+// synchronous engines' golden tables; event_engine_test pins bit-identity
+// across thread counts on the WAN configs.
 void replay_event_shard(const workload::Trace& trace,
                         const std::vector<DecodedEvent>& decoded,
                         const std::vector<std::uint32_t>& routing,
@@ -281,7 +260,7 @@ void replay_event_shard(const workload::Trace& trace,
   RunResult& r = shard.result;
   r.policy_name = shard.policy->name();
   r.warmup_end = trace.info.warmup_end_event;
-  shard.aggregate_series = util::CumulativeSeries{options.series_stride};
+  shard.aggregate.series = util::CumulativeSeries{options.series_stride};
   const net::TrafficMeter& endpoint_meter = shard.cache->meter();
   const net::TrafficMeter& server_meter = shard.transport.endpoint_meter(
       shard.transport.endpoint_slot(shard.server->name()));
@@ -298,7 +277,7 @@ void replay_event_shard(const workload::Trace& trace,
   bool warmup_captured = false;
   const auto capture_warmup = [&] {
     endpoint_at_warmup = mechanism_snapshot(endpoint_meter);
-    shard.aggregate_at_warmup = aggregate_snapshot();
+    shard.aggregate.at_warmup = aggregate_snapshot();
     warmup_captured = true;
   };
   if (trace.info.warmup_end_event == 0) capture_warmup();
@@ -369,22 +348,10 @@ void replay_event_shard(const workload::Trace& trace,
         const core::QueryOutcome outcome = policy.on_query(q);
         const double completed = events.now();
         ++r.queries;
-        double exec_seconds = 0.0;
-        switch (outcome.path) {
-          case core::QueryOutcome::Path::kCacheFresh:
-            ++r.cache_fresh;
-            exec_seconds = local_exec;
-            break;
-          case core::QueryOutcome::Path::kCacheAfterUpdates:
-            ++r.cache_after_updates;
-            exec_seconds = local_exec;
-            break;
-          case core::QueryOutcome::Path::kShipped:
-            ++r.shipped;
-            exec_seconds = server_exec;
-            break;
-        }
-        r.objects_loaded += outcome.objects_loaded;
+        detail::tally(r, outcome);
+        const double exec_seconds =
+            outcome.path == core::QueryOutcome::Path::kShipped ? server_exec
+                                                               : local_exec;
         const double lag = dispatched - arrival;
         const double response = lag + (completed - dispatched) + exec_seconds;
         if (now >= warmup_end) {
@@ -420,22 +387,11 @@ void replay_event_shard(const workload::Trace& trace,
             q, [&shard, &r, &events, arrival, lag, now, pos, tag, warmup_end,
                 local_exec, server_exec](const core::QueryOutcome& outcome) {
               --shard.in_flight_queries;
-              double exec_seconds = 0.0;
-              switch (outcome.path) {
-                case core::QueryOutcome::Path::kCacheFresh:
-                  ++r.cache_fresh;
-                  exec_seconds = local_exec;
-                  break;
-                case core::QueryOutcome::Path::kCacheAfterUpdates:
-                  ++r.cache_after_updates;
-                  exec_seconds = local_exec;
-                  break;
-                case core::QueryOutcome::Path::kShipped:
-                  ++r.shipped;
-                  exec_seconds = server_exec;
-                  break;
-              }
-              r.objects_loaded += outcome.objects_loaded;
+              detail::tally(r, outcome);
+              const double exec_seconds =
+                  outcome.path == core::QueryOutcome::Path::kShipped
+                      ? server_exec
+                      : local_exec;
               // Response spans arrival -> last reply (the clock sits at
               // the completing delivery), plus the execution surcharge.
               const double response = (events.now() - arrival) + exec_seconds;
@@ -455,7 +411,7 @@ void replay_event_shard(const workload::Trace& trace,
     // pure overhead (requests, eviction notices), so the replica's
     // aggregate figure total always equals the figure total delivered to
     // its cache endpoint. Checked once after the loop.
-    shard.aggregate_series.observe(now,
+    shard.aggregate.series.observe(now,
                                    endpoint_meter.figure_total().as_double());
     ++order_pos;
   }
@@ -488,21 +444,15 @@ void replay_event_shard(const workload::Trace& trace,
   // equality it relies on — no figure-mechanism bytes ever land at the
   // repository endpoint — is re-checked here against the final meters.
   DELTA_CHECK(server_meter.figure_total() == Bytes{0});
-  shard.aggregate_series.finalize();
-  r.series = shard.aggregate_series;
+  shard.aggregate.series.finalize();
+  r.series = shard.aggregate.series;
   r.postwarmup_latency = shard.yardsticks.response_seconds;
-  r.total_traffic = endpoint_meter.figure_total();
-  const std::array<Bytes, 3> final_by = mechanism_snapshot(endpoint_meter);
-  for (std::size_t m = 0; m < 3; ++m) {
-    r.postwarmup_by_mechanism[m] = final_by[m] - endpoint_at_warmup[m];
-    r.postwarmup_traffic += r.postwarmup_by_mechanism[m];
-  }
-  r.overhead_traffic = endpoint_meter.total(net::Mechanism::kOverhead);
+  detail::finish_endpoint(r, endpoint_meter, endpoint_at_warmup);
 
-  shard.aggregate_final = aggregate_snapshot();
-  shard.aggregate_total =
+  shard.aggregate.final_by = aggregate_snapshot();
+  shard.aggregate.total =
       endpoint_meter.figure_total() + server_meter.figure_total();
-  shard.aggregate_overhead = endpoint_meter.total(net::Mechanism::kOverhead) +
+  shard.aggregate.overhead = endpoint_meter.total(net::Mechanism::kOverhead) +
                              server_meter.total(net::Mechanism::kOverhead);
   shard.server_uplink = shard.transport.uplink_stats(
       shard.transport.endpoint_slot(shard.server->name()));
@@ -511,33 +461,6 @@ void replay_event_shard(const workload::Trace& trace,
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-}
-
-/// Merges per-partition tapes that are each sorted by `key` into one
-/// stream in canonical order (key, then partition order for ties —
-/// inplace_merge is stable), then feeds every sample to `consume`.
-template <typename Sample, typename Key, typename Consume>
-void merge_tapes(std::vector<EventShard*>& shards,
-                 std::vector<Sample> EventShard::* tape, Key key,
-                 Consume consume) {
-  std::vector<Sample> merged;
-  std::size_t total = 0;
-  for (const EventShard* shard : shards) total += (shard->*tape).size();
-  merged.reserve(total);
-  for (EventShard* shard : shards) {
-    const std::size_t mid = merged.size();
-    std::vector<Sample>& t = shard->*tape;
-    merged.insert(merged.end(), t.begin(), t.end());
-    t.clear();
-    t.shrink_to_fit();
-    if (mid > 0) {
-      std::inplace_merge(
-          merged.begin(),
-          merged.begin() + static_cast<std::ptrdiff_t>(mid), merged.end(),
-          [&](const Sample& a, const Sample& b) { return key(a) < key(b); });
-    }
-  }
-  for (const Sample& sample : merged) consume(sample);
 }
 
 }  // namespace
@@ -810,20 +733,9 @@ EventRunResult run_policy_event(const workload::Trace& trace,
                        filtered[i] ? &update_filter[i] : nullptr,
                        *shards[i]);
   };
-  std::int64_t steal_count = 0;
-  if (threads <= 1 || endpoint_count <= 1 ||
-      !options.parallel.work_stealing) {
-    util::parallel_for(endpoint_count, threads, replay_one);
-  } else {
-    std::vector<double> weights(endpoint_count);
-    for (std::size_t i = 0; i < endpoint_count; ++i) {
-      weights[i] = static_cast<double>(routed_queries[i]);
-    }
-    steal_count = util::parallel_for_dynamic(
-        endpoint_count,
-        util::lpt_assignment(weights, std::min(threads, endpoint_count)),
-        replay_one);
-  }
+  const std::int64_t steal_count = detail::run_partitions(
+      endpoint_count, threads, options.parallel.work_stealing, routed_queries,
+      replay_one);
 
   // ---- deterministic merge, in canonical order ----
   EventRunResult out;
@@ -840,26 +752,21 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   replay.strategy = strategy;
   replay.per_endpoint.reserve(endpoint_count);
   out.per_endpoint.reserve(endpoint_count);
-  RunResult& c = replay.combined;
-  c.policy_name = shards.front()->policy->name();
-  c.warmup_end = trace.info.warmup_end_event;
-  c.series = util::CumulativeSeries{options.series_stride};
-
-  std::array<Bytes, 3> at_warmup{};
-  std::array<Bytes, 3> final_by{};
+  std::vector<const detail::ReplicaTotals*> totals;
+  std::vector<const RunResult*> results;
+  std::vector<std::vector<QuerySample>*> query_tapes;
+  std::vector<std::vector<StalenessSample>*> staleness_tapes;
   for (const auto& shard : shards) {
-    const RunResult& r = shard->result;
-    c.queries += r.queries;
-    c.cache_fresh += r.cache_fresh;
-    c.cache_after_updates += r.cache_after_updates;
-    c.shipped += r.shipped;
-    c.objects_loaded += r.objects_loaded;
-    c.total_traffic += shard->aggregate_total;
-    c.overhead_traffic += shard->aggregate_overhead;
-    for (std::size_t m = 0; m < 3; ++m) {
-      at_warmup[m] += shard->aggregate_at_warmup[m];
-      final_by[m] += shard->aggregate_final[m];
-    }
+    totals.push_back(&shard->aggregate);
+    results.push_back(&shard->result);
+    query_tapes.push_back(&shard->query_tape);
+    staleness_tapes.push_back(&shard->staleness_tape);
+  }
+  replay.combined =
+      detail::fold_combined(totals, results, options.series_stride);
+  RunResult& c = replay.combined;
+
+  for (const auto& shard : shards) {
     out.server_uplink.sends += shard->server_uplink.sends;
     out.server_uplink.busy_seconds += shard->server_uplink.busy_seconds;
     out.server_uplink.total_queue_wait +=
@@ -923,35 +830,6 @@ EventRunResult run_policy_event(const workload::Trace& trace,
   out.chaos.crash_restarts += shards.front()->server->crash_restarts();
   out.chaos.crash_downtime_seconds +=
       shards.front()->server_crash_downtime;
-  for (std::size_t m = 0; m < 3; ++m) {
-    c.postwarmup_by_mechanism[m] = final_by[m] - at_warmup[m];
-    c.postwarmup_traffic += c.postwarmup_by_mechanism[m];
-  }
-
-  // Combined cumulative series: every partition observed every event, and
-  // the series' sampling decisions depend only on the (identical) sequence
-  // of event indices, so all per-partition aggregate series carry points
-  // at the same indices. Their values are integer byte counts (exact in a
-  // double far past any realistic traffic total), so the pointwise sum is
-  // exact and thread-count independent.
-  if (!shards.front()->aggregate_series.points().empty()) {
-    const auto& reference = shards.front()->aggregate_series.points();
-    for (std::size_t k = 0; k < reference.size(); ++k) {
-      double sum = 0.0;
-      for (const auto& shard : shards) {
-        const auto& points = shard->aggregate_series.points();
-        DELTA_CHECK(points.size() == reference.size() &&
-                    points[k].event_index == reference[k].event_index);
-        sum += points[k].value;
-      }
-      c.series.observe(reference[k].event_index, sum);
-    }
-    c.series.finalize();
-  }
-
-  std::vector<EventShard*> shard_ptrs;
-  shard_ptrs.reserve(endpoint_count);
-  for (const auto& shard : shards) shard_ptrs.push_back(shard.get());
 
   if (deterministic) {
     // Re-add the per-query samples in merged-trace order: StreamingStats
@@ -959,20 +837,20 @@ EventRunResult run_policy_event(const workload::Trace& trace,
     // one the partitions share (each query event belongs to exactly one
     // partition, so positions are unique and the order total). Each tape
     // is already sorted, so this is a K-way merge, free for one partition.
-    merge_tapes(shard_ptrs, &EventShard::query_tape,
-                [](const QuerySample& s) { return s.order_pos; },
-                [&](const QuerySample& s) {
-                  c.postwarmup_latency.add(s.response);
-                  out.response_seconds.add(s.response);
-                  out.dispatch_lag_seconds.add(s.lag);
-                });
+    detail::merge_tapes(query_tapes,
+                        [](const QuerySample& s) { return s.order_pos; },
+                        [&](const QuerySample& s) {
+                          c.postwarmup_latency.add(s.response);
+                          out.response_seconds.add(s.response);
+                          out.dispatch_lag_seconds.add(s.lag);
+                        });
     // Staleness samples merge by delivery instant; ties (same instant on
     // different partitions) resolve in endpoint order via merge stability.
-    merge_tapes(shard_ptrs, &EventShard::staleness_tape,
-                [](const StalenessSample& s) { return s.delivered_at; },
-                [&](const StalenessSample& s) {
-                  out.staleness_seconds.add(s.gap);
-                });
+    detail::merge_tapes(staleness_tapes,
+                        [](const StalenessSample& s) { return s.delivered_at; },
+                        [&](const StalenessSample& s) {
+                          out.staleness_seconds.add(s.gap);
+                        });
   } else {
     // Cheap fold: parallel-Welford combination per partition, repeatable
     // run-to-run but not bit-equal to the sample-by-sample order above.

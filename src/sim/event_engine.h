@@ -36,8 +36,10 @@
 // Over zero-latency links (EventEngineOptions defaults) every delivery
 // lands at its send instant and the replay degenerates to the synchronous
 // engines' semantics: sim_golden_test pins the event engine to the same
-// golden tables byte-for-byte. The replay loop mirrors sim/simulator.cpp
-// and sim/multi_cache.cpp (see the lockstep NOTE there).
+// golden tables byte-for-byte. The engine keeps its own replay loop
+// (clock, crash wipes, update prefilter, open loop) but shares the
+// synchronous core's outcome tally, combined-view fold, sample-tape merge
+// and partition dispatch (sim::detail in sim/replay_core.h).
 #pragma once
 
 #include <vector>

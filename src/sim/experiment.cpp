@@ -88,6 +88,32 @@ RunResult run_one(PolicyKind kind, const workload::Trace& trace,
   return run_policy(trace, system, *policy, series_stride);
 }
 
+namespace {
+
+/// The factory both sharded runners hand their engine: endpoint `index`
+/// gets its own `kind` policy with `capacity` of cache, and a sharded
+/// SOptimal gets the hindsight shard of `assignment` — the same split the
+/// engine routes by, so routing and policy agree by construction.
+CachePolicyFactory sharded_factory(
+    PolicyKind kind, const workload::Trace& trace, Bytes capacity,
+    const SetupParams& params, const PolicyOverrides& overrides,
+    const std::vector<std::uint32_t>& assignment, std::size_t endpoint_count) {
+  const bool shard_soptimal =
+      kind == PolicyKind::kSOptimal && endpoint_count > 1;
+  return [=, &trace, &params, &overrides, &assignment](
+             core::CacheNode& cache, std::size_t index) {
+    PolicyOverrides endpoint_overrides = overrides;
+    if (shard_soptimal) {
+      endpoint_overrides.soptimal.query_assignment = &assignment;
+      endpoint_overrides.soptimal.endpoint = static_cast<std::uint32_t>(index);
+    }
+    return make_policy(kind, cache, trace, capacity, params,
+                       endpoint_overrides);
+  };
+}
+
+}  // namespace
+
 MultiRunResult run_one_multi(PolicyKind kind, const workload::Trace& trace,
                              Bytes per_endpoint_capacity,
                              const SetupParams& params,
@@ -96,25 +122,13 @@ MultiRunResult run_one_multi(PolicyKind kind, const workload::Trace& trace,
                              const PolicyOverrides& overrides,
                              std::int64_t series_stride,
                              const ParallelOptions& parallel) {
-  // Computed once and handed to both the policies and the runner, so the
-  // routing and (for offline SOptimal) each endpoint's hindsight shard are
-  // the same split by construction.
+  // Computed once and handed to both the policies and the runner.
   const std::vector<std::uint32_t> assignment =
       workload::assign_queries(trace, endpoint_count, strategy);
-  const bool shard_soptimal =
-      kind == PolicyKind::kSOptimal && endpoint_count > 1;
   return run_policy_multi(
       trace, endpoint_count, strategy,
-      [&](core::CacheNode& cache, std::size_t index) {
-        PolicyOverrides endpoint_overrides = overrides;
-        if (shard_soptimal) {
-          endpoint_overrides.soptimal.query_assignment = &assignment;
-          endpoint_overrides.soptimal.endpoint =
-              static_cast<std::uint32_t>(index);
-        }
-        return make_policy(kind, cache, trace, per_endpoint_capacity, params,
-                           endpoint_overrides);
-      },
+      sharded_factory(kind, trace, per_endpoint_capacity, params, overrides,
+                      assignment, endpoint_count),
       series_stride, LatencyModel{}, &assignment, parallel);
 }
 
@@ -125,24 +139,12 @@ EventRunResult run_one_event(PolicyKind kind, const workload::Trace& trace,
                              workload::SplitStrategy strategy,
                              const EventEngineOptions& engine,
                              const PolicyOverrides& overrides) {
-  // Same routing/hindsight-shard agreement as run_one_multi: one split,
-  // handed to both the router and any sharded SOptimal instance.
   const std::vector<std::uint32_t> assignment =
       workload::assign_queries(trace, endpoint_count, strategy);
-  const bool shard_soptimal =
-      kind == PolicyKind::kSOptimal && endpoint_count > 1;
   return run_policy_event(
       trace, endpoint_count, strategy,
-      [&](core::CacheNode& cache, std::size_t index) {
-        PolicyOverrides endpoint_overrides = overrides;
-        if (shard_soptimal) {
-          endpoint_overrides.soptimal.query_assignment = &assignment;
-          endpoint_overrides.soptimal.endpoint =
-              static_cast<std::uint32_t>(index);
-        }
-        return make_policy(kind, cache, trace, per_endpoint_capacity, params,
-                           endpoint_overrides);
-      },
+      sharded_factory(kind, trace, per_endpoint_capacity, params, overrides,
+                      assignment, endpoint_count),
       engine, &assignment);
 }
 

@@ -1,11 +1,11 @@
 #include "sim/multi_cache.h"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
 
 #include "net/transport.h"
+#include "sim/replay_core.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -13,396 +13,15 @@ namespace delta::sim {
 
 namespace {
 
-std::array<Bytes, 3> mechanism_snapshot(const net::TrafficMeter& meter) {
-  return {meter.total(net::Mechanism::kQueryShip),
-          meter.total(net::Mechanism::kUpdateShip),
-          meter.total(net::Mechanism::kObjectLoad)};
-}
-
-// NOTE: mirrors sim/simulator.cpp's run_policy event semantics exactly;
-// the N=1 byte-for-byte equivalence is pinned by MultiCacheSimTest — keep
-// the two replay loops in lockstep. run_multi_parallel below replays the
-// same semantics once more per worker and ParallelSimTest pins it to this
-// engine bit-for-bit, so all three loops move together.
-MultiRunResult run_multi_sequential(
-    const workload::Trace& trace, std::size_t endpoint_count,
-    workload::SplitStrategy strategy, const CachePolicyFactory& factory,
-    std::int64_t series_stride, const LatencyModel& latency,
-    const std::vector<std::uint32_t>& routing) {
-  const auto start = std::chrono::steady_clock::now();
-
-  // ---- assemble the node graph: one repository, N cache endpoints ----
-  net::LoopbackTransport transport;
-  core::ServerNode server{&trace, &transport};
-  std::vector<std::unique_ptr<core::CacheNode>> caches;
-  std::vector<std::unique_ptr<core::CachePolicy>> policies;
-  caches.reserve(endpoint_count);
-  policies.reserve(endpoint_count);
-  for (std::size_t i = 0; i < endpoint_count; ++i) {
-    caches.push_back(std::make_unique<core::CacheNode>(
-        &trace, &server, &transport, "cache-" + std::to_string(i)));
-  }
-  // Policies are built after every endpoint exists; offline policies
-  // (SOptimal) emit their up-front load traffic here, inside the warm-up
-  // window, exactly as in the single-cache runner.
-  for (std::size_t i = 0; i < endpoint_count; ++i) {
-    policies.push_back(factory(*caches[i], i));
-    DELTA_CHECK(policies.back() != nullptr);
-  }
-
-  MultiRunResult result;
-  result.strategy = strategy;
-  result.combined.policy_name = policies.front()->name();
-  result.combined.warmup_end = trace.info.warmup_end_event;
-  result.combined.series = util::CumulativeSeries{series_stride};
-  result.per_endpoint.resize(endpoint_count);
-  std::vector<const net::TrafficMeter*> meters;
-  for (std::size_t i = 0; i < endpoint_count; ++i) {
-    RunResult& r = result.per_endpoint[i];
-    r.policy_name = policies[i]->name();
-    r.warmup_end = trace.info.warmup_end_event;
-    r.series = util::CumulativeSeries{series_stride};
-    meters.push_back(&caches[i]->meter());
-  }
-  const net::TrafficMeter& aggregate = transport.meter();
-
-  // ---- warm-up boundary snapshots (combined + one per endpoint) ----
-  std::array<Bytes, 3> combined_at_warmup{};
-  std::vector<std::array<Bytes, 3>> endpoint_at_warmup(endpoint_count);
-  bool warmup_captured = false;
-  const auto capture_warmup = [&] {
-    combined_at_warmup = mechanism_snapshot(aggregate);
-    for (std::size_t i = 0; i < endpoint_count; ++i) {
-      endpoint_at_warmup[i] = mechanism_snapshot(*meters[i]);
-    }
-    warmup_captured = true;
-  };
-  if (trace.info.warmup_end_event == 0) capture_warmup();
-
-  // ---- replay the merged event sequence ----
-  for (const workload::Event& event : trace.order) {
-    const bool is_update = event.kind == workload::Event::Kind::kUpdate;
-    const EventTime now =
-        is_update
-            ? trace.updates[static_cast<std::size_t>(event.index)].time
-            : trace.queries[static_cast<std::size_t>(event.index)].time;
-    // Snapshot the meters the moment the measurement window opens, before
-    // this event's traffic.
-    if (!warmup_captured && now >= trace.info.warmup_end_event) {
-      capture_warmup();
-    }
-
-    if (is_update) {
-      server.ingest_update(
-          trace.updates[static_cast<std::size_t>(event.index)]);
-    } else {
-      const auto qi = static_cast<std::size_t>(event.index);
-      const workload::Query& q = trace.queries[qi];
-      const std::size_t e = routing[qi];
-      DELTA_CHECK(e < endpoint_count);
-      RunResult& r = result.per_endpoint[e];
-      const core::QueryOutcome outcome = policies[e]->on_query(q);
-      ++result.combined.queries;
-      ++r.queries;
-      const double seconds = proxy_response_seconds(latency, outcome);
-      switch (outcome.path) {
-        case core::QueryOutcome::Path::kCacheFresh:
-          ++result.combined.cache_fresh;
-          ++r.cache_fresh;
-          break;
-        case core::QueryOutcome::Path::kCacheAfterUpdates:
-          ++result.combined.cache_after_updates;
-          ++r.cache_after_updates;
-          break;
-        case core::QueryOutcome::Path::kShipped:
-          ++result.combined.shipped;
-          ++r.shipped;
-          break;
-      }
-      result.combined.objects_loaded += outcome.objects_loaded;
-      r.objects_loaded += outcome.objects_loaded;
-      if (now >= trace.info.warmup_end_event) {
-        result.combined.postwarmup_latency.add(seconds);
-        r.postwarmup_latency.add(seconds);
-      }
-    }
-    result.combined.series.observe(now, aggregate.figure_total().as_double());
-    for (std::size_t i = 0; i < endpoint_count; ++i) {
-      result.per_endpoint[i].series.observe(
-          now, meters[i]->figure_total().as_double());
-    }
-  }
-  if (!warmup_captured) capture_warmup();  // warm-up spanned the whole run
-
-  // ---- fold the meters into the results ----
-  const auto finish = [](RunResult& r, const net::TrafficMeter& meter,
-                         const std::array<Bytes, 3>& at_warmup) {
-    r.series.finalize();
-    r.total_traffic = meter.figure_total();
-    const std::array<Bytes, 3> final_by = mechanism_snapshot(meter);
-    for (std::size_t m = 0; m < 3; ++m) {
-      r.postwarmup_by_mechanism[m] = final_by[m] - at_warmup[m];
-      r.postwarmup_traffic += r.postwarmup_by_mechanism[m];
-    }
-    r.overhead_traffic = meter.total(net::Mechanism::kOverhead);
-  };
-  finish(result.combined, aggregate, combined_at_warmup);
-  for (std::size_t i = 0; i < endpoint_count; ++i) {
-    finish(result.per_endpoint[i], *meters[i], endpoint_at_warmup[i]);
-  }
-
-  result.combined.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
-}
-
-// ------------------------------------------------------ parallel engine
-
-/// One endpoint's shard of a parallel run: a full replica of the node graph
-/// (its own transport, repository, cache, policy) plus everything the merge
-/// step needs. All mutable state here is confined to one worker thread
-/// between the launch and join barriers.
-struct EndpointWorker {
+/// The nodes behind one replica: a repository and its cache endpoints on
+/// one transport. Policies are declared last so they are destroyed before
+/// the caches they drive.
+struct ReplicaNodes {
   net::LoopbackTransport transport;
   std::unique_ptr<core::ServerNode> server;
-  std::unique_ptr<core::CacheNode> cache;
-  std::unique_ptr<core::CachePolicy> policy;
-
-  RunResult result;  // the per-endpoint view, identical to sequential's
-  /// This replica's whole-transport figure series (stride assigned in
-  /// replay_shard); every message of the sequential run lands in exactly
-  /// one replica, so summing these pointwise reconstructs the sequential
-  /// combined series.
-  util::CumulativeSeries aggregate_series;
-  std::array<Bytes, 3> aggregate_at_warmup{};
-  std::array<Bytes, 3> aggregate_final{};
-  Bytes aggregate_total;
-  Bytes aggregate_overhead;
-  /// (position in trace.order, seconds) per post-warm-up query, recorded in
-  /// deterministic mode so the merge can re-add them in global event order.
-  std::vector<std::pair<std::int64_t, double>> latency_samples;
+  std::vector<std::unique_ptr<core::CacheNode>> caches;
+  std::vector<std::unique_ptr<core::CachePolicy>> policies;
 };
-
-/// Replays the full merged event sequence against `w`'s replica, executing
-/// only the queries routed to endpoint `self`. Updates are applied to the
-/// replica repository at the same sequence points as in the sequential
-/// engine, so object sizes — the only cross-endpoint state — evolve
-/// identically.
-void replay_shard(const workload::Trace& trace,
-                  const std::vector<std::uint32_t>& routing, std::size_t self,
-                  std::int64_t series_stride, const LatencyModel& latency,
-                  bool deterministic, EndpointWorker& w) {
-  RunResult& r = w.result;
-  r.policy_name = w.policy->name();
-  r.warmup_end = trace.info.warmup_end_event;
-  r.series = util::CumulativeSeries{series_stride};
-  w.aggregate_series = util::CumulativeSeries{series_stride};
-  const net::TrafficMeter& endpoint_meter = w.cache->meter();
-  const net::TrafficMeter& aggregate = w.transport.meter();
-
-  std::array<Bytes, 3> endpoint_at_warmup{};
-  bool warmup_captured = false;
-  const auto capture_warmup = [&] {
-    endpoint_at_warmup = mechanism_snapshot(endpoint_meter);
-    w.aggregate_at_warmup = mechanism_snapshot(aggregate);
-    warmup_captured = true;
-  };
-  if (trace.info.warmup_end_event == 0) capture_warmup();
-
-  std::int64_t order_pos = 0;
-  for (const workload::Event& event : trace.order) {
-    const bool is_update = event.kind == workload::Event::Kind::kUpdate;
-    const EventTime now =
-        is_update
-            ? trace.updates[static_cast<std::size_t>(event.index)].time
-            : trace.queries[static_cast<std::size_t>(event.index)].time;
-    if (!warmup_captured && now >= trace.info.warmup_end_event) {
-      capture_warmup();
-    }
-
-    if (is_update) {
-      w.server->ingest_update(
-          trace.updates[static_cast<std::size_t>(event.index)]);
-    } else {
-      const auto qi = static_cast<std::size_t>(event.index);
-      if (routing[qi] == self) {
-        const workload::Query& q = trace.queries[qi];
-        const core::QueryOutcome outcome = w.policy->on_query(q);
-        ++r.queries;
-        const double seconds = proxy_response_seconds(latency, outcome);
-        switch (outcome.path) {
-          case core::QueryOutcome::Path::kCacheFresh:
-            ++r.cache_fresh;
-            break;
-          case core::QueryOutcome::Path::kCacheAfterUpdates:
-            ++r.cache_after_updates;
-            break;
-          case core::QueryOutcome::Path::kShipped:
-            ++r.shipped;
-            break;
-        }
-        r.objects_loaded += outcome.objects_loaded;
-        if (now >= trace.info.warmup_end_event) {
-          r.postwarmup_latency.add(seconds);
-          if (deterministic) w.latency_samples.emplace_back(order_pos, seconds);
-        }
-      }
-    }
-    r.series.observe(now, endpoint_meter.figure_total().as_double());
-    w.aggregate_series.observe(now, aggregate.figure_total().as_double());
-    ++order_pos;
-  }
-  if (!warmup_captured) capture_warmup();  // warm-up spanned the whole run
-
-  r.series.finalize();
-  r.total_traffic = endpoint_meter.figure_total();
-  const std::array<Bytes, 3> final_by = mechanism_snapshot(endpoint_meter);
-  for (std::size_t m = 0; m < 3; ++m) {
-    r.postwarmup_by_mechanism[m] = final_by[m] - endpoint_at_warmup[m];
-    r.postwarmup_traffic += r.postwarmup_by_mechanism[m];
-  }
-  r.overhead_traffic = endpoint_meter.total(net::Mechanism::kOverhead);
-
-  w.aggregate_series.finalize();
-  w.aggregate_final = mechanism_snapshot(aggregate);
-  w.aggregate_total = aggregate.figure_total();
-  w.aggregate_overhead = aggregate.total(net::Mechanism::kOverhead);
-}
-
-MultiRunResult run_multi_parallel(
-    const workload::Trace& trace, std::size_t endpoint_count,
-    workload::SplitStrategy strategy, const CachePolicyFactory& factory,
-    std::int64_t series_stride, const LatencyModel& latency,
-    const std::vector<std::uint32_t>& routing, std::size_t num_threads,
-    bool deterministic, bool work_stealing) {
-  const auto start = std::chrono::steady_clock::now();
-  // A worker silently skips queries routed out of range, so validate the
-  // whole split up front (the sequential engine checks per event).
-  for (const std::uint32_t e : routing) DELTA_CHECK(e < endpoint_count);
-
-  // ---- assemble one replica node graph per endpoint (calling thread) ----
-  std::vector<std::unique_ptr<EndpointWorker>> workers;
-  workers.reserve(endpoint_count);
-  for (std::size_t i = 0; i < endpoint_count; ++i) {
-    auto w = std::make_unique<EndpointWorker>();
-    w->server = std::make_unique<core::ServerNode>(&trace, &w->transport);
-    w->cache = std::make_unique<core::CacheNode>(
-        &trace, w->server.get(), &w->transport, "cache-" + std::to_string(i));
-    workers.push_back(std::move(w));
-  }
-  // Factories run on the calling thread in endpoint order — the same
-  // invocation contract as the sequential engine, so factories need no
-  // thread-safety. Offline policies emit their preload traffic here, into
-  // their replica's transport, inside the warm-up window.
-  for (std::size_t i = 0; i < endpoint_count; ++i) {
-    workers[i]->policy = factory(*workers[i]->cache, i);
-    DELTA_CHECK(workers[i]->policy != nullptr);
-  }
-
-  // ---- replay all shards on the pool. With stealing on, shards are
-  // LPT-packed onto the workers by exact routed-query counts and a drained
-  // worker steals a straggler's pending shard — never affects results,
-  // since stealing only moves WHICH thread replays a shard. ----
-  const auto replay_one = [&](std::size_t i) {
-    replay_shard(trace, routing, i, series_stride, latency, deterministic,
-                 *workers[i]);
-  };
-  if (!work_stealing || endpoint_count <= 1) {
-    util::parallel_for(endpoint_count, num_threads, replay_one);
-  } else {
-    std::vector<double> weights(endpoint_count, 0.0);
-    for (const std::uint32_t e : routing) weights[e] += 1.0;
-    util::parallel_for_dynamic(
-        endpoint_count,
-        util::lpt_assignment(weights, std::min(num_threads, endpoint_count)),
-        replay_one);
-  }
-
-  // ---- deterministic merge, in endpoint order ----
-  MultiRunResult result;
-  result.strategy = strategy;
-  result.per_endpoint.reserve(endpoint_count);
-  RunResult& c = result.combined;
-  c.policy_name = workers.front()->policy->name();
-  c.warmup_end = trace.info.warmup_end_event;
-  c.series = util::CumulativeSeries{series_stride};
-
-  std::array<Bytes, 3> at_warmup{};
-  std::array<Bytes, 3> final_by{};
-  for (const auto& w : workers) {
-    const RunResult& r = w->result;
-    c.queries += r.queries;
-    c.cache_fresh += r.cache_fresh;
-    c.cache_after_updates += r.cache_after_updates;
-    c.shipped += r.shipped;
-    c.objects_loaded += r.objects_loaded;
-    c.total_traffic += w->aggregate_total;
-    c.overhead_traffic += w->aggregate_overhead;
-    for (std::size_t m = 0; m < 3; ++m) {
-      at_warmup[m] += w->aggregate_at_warmup[m];
-      final_by[m] += w->aggregate_final[m];
-    }
-  }
-  for (std::size_t m = 0; m < 3; ++m) {
-    c.postwarmup_by_mechanism[m] = final_by[m] - at_warmup[m];
-    c.postwarmup_traffic += c.postwarmup_by_mechanism[m];
-  }
-
-  // Combined cumulative series: every worker observed every event, and the
-  // series' sampling decisions depend only on the (identical) sequence of
-  // event indices, so all per-worker aggregate series carry points at the
-  // same indices. Their values are integer byte counts (exact in a double
-  // far past any realistic traffic total), so the pointwise sum equals the
-  // sequential engine's interleaved accumulation bit-for-bit.
-  if (!workers.empty() && !workers.front()->aggregate_series.points().empty()) {
-    const auto& reference = workers.front()->aggregate_series.points();
-    for (std::size_t k = 0; k < reference.size(); ++k) {
-      double sum = 0.0;
-      for (const auto& w : workers) {
-        const auto& points = w->aggregate_series.points();
-        DELTA_CHECK(points.size() == reference.size() &&
-                    points[k].event_index == reference[k].event_index);
-        sum += points[k].value;
-      }
-      c.series.observe(reference[k].event_index, sum);
-    }
-    c.series.finalize();
-  }
-
-  if (deterministic) {
-    // Re-add the latency samples in merged-event order: StreamingStats is
-    // order-sensitive in its low bits, and the sequential engine added them
-    // interleaved across endpoints.
-    std::vector<std::pair<std::int64_t, double>> samples;
-    std::size_t total = 0;
-    for (const auto& w : workers) total += w->latency_samples.size();
-    samples.reserve(total);
-    for (auto& w : workers) {
-      samples.insert(samples.end(), w->latency_samples.begin(),
-                     w->latency_samples.end());
-      w->latency_samples.clear();
-    }
-    // Event positions are unique (each query event belongs to exactly one
-    // shard), so this order is total.
-    std::sort(samples.begin(), samples.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& sample : samples) {
-      c.postwarmup_latency.add(sample.second);
-    }
-  } else {
-    for (const auto& w : workers) {
-      c.postwarmup_latency.merge(w->result.postwarmup_latency);
-    }
-  }
-
-  for (auto& w : workers) result.per_endpoint.push_back(std::move(w->result));
-
-  result.combined.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
-}
 
 }  // namespace
 
@@ -414,6 +33,7 @@ MultiRunResult run_policy_multi(const workload::Trace& trace,
                                 const LatencyModel& latency,
                                 const std::vector<std::uint32_t>* assignment,
                                 const ParallelOptions& parallel) {
+  const auto start = std::chrono::steady_clock::now();
   DELTA_CHECK(endpoint_count > 0);
   DELTA_CHECK(factory != nullptr);
   DELTA_CHECK(assignment == nullptr ||
@@ -424,19 +44,72 @@ MultiRunResult run_policy_multi(const workload::Trace& trace,
           : std::vector<std::uint32_t>{};
   const std::vector<std::uint32_t>& routing =
       assignment == nullptr ? computed_assignment : *assignment;
+  // A replica silently skips queries routed past its endpoints, so validate
+  // the whole split up front (counting each endpoint's share while here:
+  // the replicas' balancing weights at T > 1).
+  std::vector<std::size_t> routed(endpoint_count, 0);
+  for (const std::uint32_t e : routing) {
+    DELTA_CHECK(e < endpoint_count);
+    ++routed[e];
+  }
 
-  // Resolve the auto thread count exactly once: the engine choice and the
+  // Resolve the auto thread count exactly once: the replica shape and the
   // worker-pool size must come from the same number.
   const std::size_t threads = parallel.num_threads == 0
                                   ? util::ThreadPool::hardware_threads()
                                   : parallel.num_threads;
-  if (threads <= 1) {
-    return run_multi_sequential(trace, endpoint_count, strategy, factory,
-                                series_stride, latency, routing);
+  // T <= 1: one replica holding all N caches on one shared transport (the
+  // cheapest shape on one core). T > 1: one replica per cache.
+  const std::size_t replica_count = threads <= 1 ? 1 : endpoint_count;
+  const std::size_t per_replica = endpoint_count / replica_count;
+
+  // ---- assemble the node graphs (calling thread) ----
+  std::vector<std::unique_ptr<ReplicaNodes>> nodes;
+  nodes.reserve(replica_count);
+  for (std::size_t r = 0; r < replica_count; ++r) {
+    auto n = std::make_unique<ReplicaNodes>();
+    n->server = std::make_unique<core::ServerNode>(&trace, &n->transport);
+    for (std::size_t i = r * per_replica; i < (r + 1) * per_replica; ++i) {
+      n->caches.push_back(std::make_unique<core::CacheNode>(
+          &trace, n->server.get(), &n->transport,
+          "cache-" + std::to_string(i)));
+    }
+    nodes.push_back(std::move(n));
   }
-  return run_multi_parallel(trace, endpoint_count, strategy, factory,
-                            series_stride, latency, routing, threads,
-                            parallel.deterministic, parallel.work_stealing);
+  // Policies are built after every endpoint exists, on the calling thread in
+  // endpoint order, so factories need no thread-safety. Offline policies
+  // (SOptimal) emit their up-front load traffic here, into their replica's
+  // transport, inside the warm-up window.
+  std::vector<detail::Replica> replicas(replica_count);
+  for (std::size_t r = 0; r < replica_count; ++r) {
+    ReplicaNodes& n = *nodes[r];
+    detail::Replica& replica = replicas[r];
+    replica.server = n.server.get();
+    replica.aggregate = &n.transport.meter();
+    replica.first = r * per_replica;
+    for (std::size_t j = 0; j < per_replica; ++j) {
+      n.policies.push_back(factory(*n.caches[j], replica.first + j));
+      DELTA_CHECK(n.policies.back() != nullptr);
+      replica.endpoints.push_back(
+          {n.caches[j].get(), n.policies.back().get(), RunResult{}});
+    }
+  }
+
+  MultiRunResult result;
+  result.strategy = strategy;
+  result.combined = detail::replay_replicas(
+      trace, &routing, series_stride, latency, threads,
+      parallel.deterministic, parallel.work_stealing, routed, replicas);
+  result.per_endpoint.reserve(endpoint_count);
+  for (detail::Replica& replica : replicas) {
+    for (detail::ReplicaEndpoint& ep : replica.endpoints) {
+      result.per_endpoint.push_back(std::move(ep.result));
+    }
+  }
+  result.combined.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return result;
 }
 
 }  // namespace delta::sim

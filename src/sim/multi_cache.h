@@ -6,8 +6,8 @@
 // repository (which fans invalidations out per subscription), queries are
 // routed to endpoints by a workload::SplitStrategy. Results come back at
 // two granularities — a RunResult per endpoint (from that endpoint's
-// transport meter) and a combined RunResult computed exactly like the
-// single-cache sim::run_policy, so a run with one endpoint reproduces the
+// transport meter) and a combined RunResult from the same replay core as
+// the single-cache sim::run_policy, so a run with one endpoint reproduces the
 // single-cache numbers byte-for-byte and per-endpoint figures always sum to
 // the combined figure.
 #pragma once
@@ -39,36 +39,37 @@ struct MultiRunResult {
 using CachePolicyFactory = std::function<std::unique_ptr<core::CachePolicy>(
     core::CacheNode& cache, std::size_t index)>;
 
-/// How the replay executes.
+/// How the replay executes. Every thread count runs the one synchronous
+/// replay core (sim::detail::replay_replicas) over *replicas* of the node
+/// graph — a repository plus cache endpoints on one transport — built in
+/// one of two shapes:
 ///
-/// With num_threads <= 1 the engine is the original sequential one: a single
-/// shared LoopbackTransport/ServerNode drives all N endpoints in merged
-/// event order on the calling thread.
+/// With num_threads <= 1, one replica holds all N caches: a single shared
+/// LoopbackTransport/ServerNode drives them in merged event order on the
+/// calling thread.
 ///
-/// With num_threads > 1 each endpoint becomes an independent worker holding
-/// its own transport + repository replica + cache, and the workers replay
-/// the event sequence concurrently on a util::ThreadPool. This is sound
-/// because the only cross-endpoint state in the sequential run is the
-/// repository object sizes, which depend on updates alone — and every worker
-/// applies every update at the same point of the sequence — while each
-/// cache's registration row, meter, and policy are confined to its worker.
-/// A merge step then folds the per-endpoint results in endpoint order;
-/// byte totals are exact integer sums, so they are independent of worker
-/// timing by construction.
+/// With num_threads > 1, each cache gets a replica of its own (transport,
+/// repository replica, cache), and the replicas replay the event sequence
+/// concurrently on a util::ThreadPool. This is sound because the only
+/// cross-endpoint state is the repository object sizes, which depend on
+/// updates alone — and every replica applies every update at the same point
+/// of the sequence — while each cache's registration row, meter, and policy
+/// are confined to its replica. A merge step then folds the replicas'
+/// results in endpoint order; byte totals are exact integer sums, so they
+/// are independent of worker timing by construction.
 ///
 /// `deterministic` (default) additionally makes the merged *combined* view
-/// bit-identical to the sequential engine's: workers record their
+/// bit-identical to the one-replica shape's: replicas record their
 /// post-warm-up latency samples tagged with the global event position and
 /// the merge re-adds them in merged-event order, and the combined cumulative
-/// series is reconstructed as the pointwise sum of the per-worker aggregate
-/// series (which sample at identical event indices). Setting it to false
-/// skips the per-query sample buffers and folds the latency stats with
-/// StreamingStats::merge instead — still repeatable run-to-run, but the
-/// combined latency mean/variance may differ from the sequential engine in
-/// the last floating-point bits.
+/// series is the pointwise sum of the replicas' series (which sample at
+/// identical event indices). Setting it to false skips the per-query sample
+/// buffers and folds the latency stats with StreamingStats::merge instead —
+/// still repeatable run-to-run, but the combined latency mean/variance may
+/// differ from the one-replica shape in the last floating-point bits.
 struct ParallelOptions {
-  /// 0 = one thread per hardware core; 1 = sequential engine; >1 = worker
-  /// pool of min(num_threads, endpoint_count) threads.
+  /// 0 = one thread per hardware core; 1 = one replica on the calling
+  /// thread; >1 = worker pool of min(num_threads, endpoint_count) threads.
   std::size_t num_threads = 1;
   bool deterministic = true;
   /// T>1 scheduling: LPT-pack the partitions onto the workers by their

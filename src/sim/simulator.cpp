@@ -2,24 +2,11 @@
 
 #include <chrono>
 
+#include "sim/replay_core.h"
 #include "util/check.h"
 
 namespace delta::sim {
 
-// NOTE: sim/multi_cache.cpp's run_policy_multi replays the same event
-// semantics (warm-up capture, latency accounting, series observation) over
-// N endpoints, and MultiCacheSimTest.OneEndpointReproducesSingleCache-
-// ByteForByte pins the two loops to byte-identical results — change replay
-// semantics in both places together.
-//
-// DETERMINISM CONSTRAINT (golden tables): tests/sim_golden_test.cpp pins
-// this loop's figures byte-for-byte. The policies it drives keep hot state
-// in util::FlatMap, whose visit order depends on insertion history — so no
-// policy decision may depend on map iteration order. Where a fold over a
-// map picks a winner it must carry an explicit (value, id) tie-break, and
-// batch decisions must be totally ordered by an explicit sort (see the
-// audit notes at each for_each call site; regression-pinned by
-// tests/iteration_order_test.cpp).
 double proxy_response_seconds(const LatencyModel& latency,
                               const core::QueryOutcome& outcome) {
   switch (outcome.path) {
@@ -42,77 +29,15 @@ RunResult run_policy(const workload::Trace& trace,
                      const LatencyModel& latency,
                      util::QuantileSketch* latency_sink) {
   const auto start = std::chrono::steady_clock::now();
-
-  RunResult result;
-  result.policy_name = policy.name();
-  result.warmup_end = trace.info.warmup_end_event;
-  result.series = util::CumulativeSeries{series_stride};
-
-  const net::TrafficMeter& meter = system.meter();
-  std::array<Bytes, 3> at_warmup{};
-  bool warmup_captured = false;
-  const auto capture_warmup = [&] {
-    at_warmup = {meter.total(net::Mechanism::kQueryShip),
-                 meter.total(net::Mechanism::kUpdateShip),
-                 meter.total(net::Mechanism::kObjectLoad)};
-    warmup_captured = true;
-  };
-  if (trace.info.warmup_end_event == 0) capture_warmup();
-
-  for (const workload::Event& event : trace.order) {
-    const bool is_update = event.kind == workload::Event::Kind::kUpdate;
-    const EventTime now =
-        is_update
-            ? trace.updates[static_cast<std::size_t>(event.index)].time
-            : trace.queries[static_cast<std::size_t>(event.index)].time;
-    // Snapshot the meter the moment the measurement window opens, before
-    // this event's traffic.
-    if (!warmup_captured && now >= trace.info.warmup_end_event) {
-      capture_warmup();
-    }
-
-    if (is_update) {
-      system.ingest_update(
-          trace.updates[static_cast<std::size_t>(event.index)]);
-    } else {
-      const workload::Query& q =
-          trace.queries[static_cast<std::size_t>(event.index)];
-      const core::QueryOutcome outcome = policy.on_query(q);
-      ++result.queries;
-      const double seconds = proxy_response_seconds(latency, outcome);
-      switch (outcome.path) {
-        case core::QueryOutcome::Path::kCacheFresh:
-          ++result.cache_fresh;
-          break;
-        case core::QueryOutcome::Path::kCacheAfterUpdates:
-          ++result.cache_after_updates;
-          break;
-        case core::QueryOutcome::Path::kShipped:
-          ++result.shipped;
-          break;
-      }
-      result.objects_loaded += outcome.objects_loaded;
-      if (now >= trace.info.warmup_end_event) {
-        result.postwarmup_latency.add(seconds);
-        if (latency_sink != nullptr) latency_sink->add(seconds);
-      }
-    }
-    result.series.observe(now, meter.figure_total().as_double());
-  }
-  result.series.finalize();
-  if (!warmup_captured) capture_warmup();  // warm-up spanned the whole run
-
-  result.total_traffic = meter.figure_total();
-  const std::array<Bytes, 3> final_by{
-      meter.total(net::Mechanism::kQueryShip),
-      meter.total(net::Mechanism::kUpdateShip),
-      meter.total(net::Mechanism::kObjectLoad)};
-  for (std::size_t i = 0; i < 3; ++i) {
-    result.postwarmup_by_mechanism[i] = final_by[i] - at_warmup[i];
-    result.postwarmup_traffic += result.postwarmup_by_mechanism[i];
-  }
-  result.overhead_traffic = meter.total(net::Mechanism::kOverhead);
-
+  std::vector<detail::Replica> replicas(1);
+  detail::Replica& replica = replicas.front();
+  replica.server = &system.server();
+  replica.aggregate = &system.meter();
+  replica.endpoints.push_back({&system.cache(), &policy, RunResult{}});
+  replica.latency_sink = latency_sink;
+  RunResult result = detail::replay_replicas(
+      trace, nullptr, series_stride, latency, /*threads=*/1,
+      /*deterministic=*/true, /*work_stealing=*/false, {}, replicas);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

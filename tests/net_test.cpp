@@ -181,7 +181,7 @@ TEST(TrafficMeterTest, SingleWriterMetersAreExactUnderConcurrentReads) {
 
 TEST(LoopbackTransportTest, EndpointMeterUnknownNameThrows) {
   LoopbackTransport t;
-  EXPECT_THROW(t.endpoint_meter("ghost"), std::logic_error);
+  EXPECT_THROW((void)t.endpoint_meter("ghost"), std::logic_error);
   EXPECT_FALSE(t.has_endpoint("ghost"));
 }
 
@@ -198,7 +198,7 @@ TEST(LoopbackTransportTest, SlotAddressedEndpointMeterAliasesNameLookup) {
   EXPECT_EQ(&t.endpoint_meter(other), &t.endpoint_meter("other"));
   EXPECT_EQ(t.endpoint_meter(cache).total(Mechanism::kObjectLoad).count(),
             500);
-  EXPECT_THROW(t.endpoint_meter(std::size_t{99}), std::logic_error);
+  EXPECT_THROW((void)t.endpoint_meter(std::size_t{99}), std::logic_error);
 }
 
 TEST(LoopbackTransportTest, ReRegistrationKeepsEndpointMeter) {

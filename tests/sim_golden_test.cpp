@@ -8,16 +8,18 @@
 // count — that is asserted here too, not just sequential-vs-parallel
 // equality, so a bug that shifted BOTH engines the same way still trips.
 //
-// To regenerate after an *intentional* behavior change:
-//   ./build/tests/sim_golden_test \
-//       --gtest_also_run_disabled_tests --gtest_filter='*PrintGoldenTables*'
+// To regenerate after an *intentional* behavior change, run (as one line)
+//   ./build/tests/sim_golden_test --gtest_also_run_disabled_tests
+//       --gtest_filter='*PrintGoldenTables*'
 // and paste the printed rows below.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <ios>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "sim/experiment.h"
 #include "sim/multi_cache.h"
@@ -93,6 +95,45 @@ void print_row(const RunResult& r) {
             << r.overhead_traffic.count() << "},\n";
 }
 
+/// What the counter rows leave open: the post-warm-up latency moments
+/// (exact hex-float bits — their low bits depend on the order samples are
+/// added in) and the shape of the cumulative series.
+struct GoldenShape {
+  std::int64_t latency_count;
+  double latency_sum;
+  double latency_mean;
+  double latency_variance;
+  std::size_t series_points;
+  std::int64_t last_index;
+  double last_value;
+};
+
+void expect_series(const RunResult& r, const GoldenShape& g) {
+  ASSERT_EQ(r.series.points().size(), g.series_points);
+  EXPECT_EQ(r.series.points().back().event_index, g.last_index);
+  EXPECT_EQ(r.series.points().back().value, g.last_value);
+}
+
+/// The synchronous engines' analytic latency proxy plus the series (the
+/// event engine measures latency instead, so it checks the series only).
+void expect_shape(const RunResult& r, const GoldenShape& g) {
+  EXPECT_EQ(r.postwarmup_latency.count(), g.latency_count);
+  EXPECT_EQ(r.postwarmup_latency.sum(), g.latency_sum);
+  EXPECT_EQ(r.postwarmup_latency.mean(), g.latency_mean);
+  EXPECT_EQ(r.postwarmup_latency.variance(), g.latency_variance);
+  expect_series(r, g);
+}
+
+void print_shape(const RunResult& r) {
+  const auto& last = r.series.points().back();
+  std::cout << "    {" << r.postwarmup_latency.count() << ", " << std::hexfloat
+            << r.postwarmup_latency.sum() << ", "
+            << r.postwarmup_latency.mean() << ", "
+            << r.postwarmup_latency.variance() << ", " << std::defaultfloat
+            << r.series.points().size() << ", " << last.event_index << ", "
+            << std::hexfloat << last.value << std::defaultfloat << "},\n";
+}
+
 // ----------------------------------------------------------- golden tables
 
 // Single-cache run_one over the golden trace, one row per policy.
@@ -104,6 +145,15 @@ constexpr GoldenRun kSingleCacheGolden[] = {
     {"SOptimal", 2000, 1854, 0, 146, 0, 4874712980, 1256046449, 1208306382, 47740067, 0, 39616},
 };
 
+// Latency moments and series shape of the same runs, row for row.
+constexpr GoldenShape kSingleCacheShape[] = {
+    {1000, 0x1.97ffff7bee046p+7, 0x1.a1cabffbd502ep-3, 0x1.be20c22c93eep-6, 3, 3999, 0x1.b42b96858p+33},
+    {1000, 0x1.8ffffffffff9dp+5, 0x1.999999999999ap-5, 0x0p+0, 3, 3999, 0x1.a68b3134p+31},
+    {1000, 0x1.70d453042b569p+7, 0x1.79ae697d19f0ep-3, 0x1.f4256ef8a5bc1p-6, 3, 3999, 0x1.bb66e6368p+33},
+    {1000, 0x1.0cde7e09bd8b5p+6, 0x1.13526c953cfe4p-4, 0x1.976b42bae7845p-7, 3, 3999, 0x1.cb662d58p+32},
+    {1000, 0x1.09aa722547997p+6, 0x1.100ab2533b001p-4, 0x1.95c5adf604a8dp-7, 3, 3999, 0x1.228e3794p+32},
+};
+
 // Multi-endpoint run_one_multi (VCover, N=4) combined + per-endpoint rows,
 // one table per split strategy. The same tables must hold for the
 // sequential engine and the parallel engine at every thread count.
@@ -111,6 +161,8 @@ struct GoldenMulti {
   workload::SplitStrategy strategy;
   GoldenRun combined;
   std::array<GoldenRun, 4> per_endpoint;
+  GoldenShape combined_shape;
+  std::array<GoldenShape, 4> per_endpoint_shape;
 };
 
 const GoldenMulti kMultiGolden[] = {
@@ -121,6 +173,13 @@ const GoldenMulti kMultiGolden[] = {
          {"VCover", 500, 110, 1, 389, 2, 4575325703, 2981865224, 1338362997, 177133, 1643325094, 25280},
          {"VCover", 500, 95, 0, 405, 2, 4751133805, 3023776003, 1380273776, 0, 1643502227, 26176},
          {"VCover", 500, 117, 1, 382, 2, 4450643465, 2177787697, 1360085571, 177133, 817524993, 24832},
+     }},
+     {1000, 0x1.22f9143f96ddcp+7, 0x1.29f4d1267dd04p-3, 0x1.d214d56e9215fp-6, 3, 3999, 0x1.16a7e18a4p+34},
+     {{
+         {250, 0x1.1e1c67bb6150ep+5, 0x1.24fa455b86775p-3, 0x1.2566cd2404d39p-5, 3, 3999, 0x1.25719dacp+32},
+         {250, 0x1.1e110a9f15599p+5, 0x1.24eea26da744fp-3, 0x1.1327dcbb6527p-5, 3, 3999, 0x1.10b5ee07p+32},
+         {250, 0x1.2bf0016b762bap+5, 0x1.3322d2598f893p-3, 0x1.5043d5bebfa87p-6, 3, 3999, 0x1.1b308c6dp+32},
+         {250, 0x1.23c6dd386ea02p+5, 0x1.2ac78a7739fc3p-3, 0x1.8c08357a225aap-6, 3, 3999, 0x1.09476e09p+32},
      }}},
     {workload::SplitStrategy::kHashByRegion,
      {"VCover", 2000, 709, 3, 1288, 5, 13030291767, 5573712881, 3028062329, 20785571, 2524864981, 175872},
@@ -129,6 +188,13 @@ const GoldenMulti kMultiGolden[] = {
          {"VCover", 20, 0, 0, 20, 0, 7947222, 3399751, 3399751, 0, 0, 1280},
          {"VCover", 1097, 366, 2, 729, 2, 5057927325, 2273469278, 1000644002, 20608438, 1252216838, 52736},
          {"VCover", 568, 343, 1, 224, 3, 7088748721, 2762156553, 1489331277, 177133, 1272648143, 17152},
+     }},
+     {1000, 0x1.c8ea0a3bdce46p+6, 0x1.d3e15228d1d4ap-4, 0x1.476993ca23eb1p-6, 3, 3999, 0x1.84553c9b8p+33},
+     {{
+         {146, 0x1.8b7adf9809295p+4, 0x1.5ab8e015128d7p-3, 0x1.1b453ec050157p-8, 3, 3999, 0x1.a18d2098p+29},
+         {9, 0x1.4985cf03d61acp+0, 0x1.24e8b80368fb7p-3, 0x1.913a3d08ea9fbp-17, 3, 3999, 0x1.e50f58p+22},
+         {563, 0x1.ca765b1e9240ep+5, 0x1.a0ee971240cffp-4, 0x1.e66bfe7b95df7p-8, 3, 3999, 0x1.2d79d89dp+32},
+         {282, 0x1.eea8362a0893cp+4, 0x1.c10ce6bb0998ep-4, 0x1.aa48922de4c2ep-5, 3, 3999, 0x1.a685b8b1p+32},
      }}},
 };
 
@@ -140,6 +206,7 @@ TEST(SimGoldenTest, SingleCachePolicyRunsMatchGoldenTable) {
     const RunResult r = run_one(kAllKinds[i], setup.trace(),
                                 setup.cache_capacity(), setup.params());
     expect_matches(r, kSingleCacheGolden[i]);
+    expect_shape(r, kSingleCacheShape[i]);
   }
 }
 
@@ -151,9 +218,11 @@ TEST(SimGoldenTest, MultiEndpointRunsMatchGoldenTable) {
         setup.params(), 4, golden.strategy);
     SCOPED_TRACE(workload::to_string(golden.strategy));
     expect_matches(multi.combined, golden.combined);
+    expect_shape(multi.combined, golden.combined_shape);
     ASSERT_EQ(multi.per_endpoint.size(), golden.per_endpoint.size());
     for (std::size_t e = 0; e < golden.per_endpoint.size(); ++e) {
       expect_matches(multi.per_endpoint[e], golden.per_endpoint[e]);
+      expect_shape(multi.per_endpoint[e], golden.per_endpoint_shape[e]);
     }
   }
 }
@@ -172,9 +241,11 @@ TEST(SimGoldenTest, ParallelEngineReproducesGoldensForEveryThreadCount) {
       SCOPED_TRACE(::testing::Message()
                    << workload::to_string(golden.strategy) << " T=" << threads);
       expect_matches(multi.combined, golden.combined);
+      expect_shape(multi.combined, golden.combined_shape);
       ASSERT_EQ(multi.per_endpoint.size(), golden.per_endpoint.size());
       for (std::size_t e = 0; e < golden.per_endpoint.size(); ++e) {
         expect_matches(multi.per_endpoint[e], golden.per_endpoint[e]);
+        expect_shape(multi.per_endpoint[e], golden.per_endpoint_shape[e]);
       }
     }
   }
@@ -203,9 +274,12 @@ TEST(SimGoldenTest, EventEngineAtZeroLatencyMatchesGoldenTables) {
         setup.params(), 4, golden.strategy);
     SCOPED_TRACE(workload::to_string(golden.strategy));
     expect_matches(multi.replay.combined, golden.combined);
+    expect_series(multi.replay.combined, golden.combined_shape);
     ASSERT_EQ(multi.replay.per_endpoint.size(), golden.per_endpoint.size());
     for (std::size_t e = 0; e < golden.per_endpoint.size(); ++e) {
       expect_matches(multi.replay.per_endpoint[e], golden.per_endpoint[e]);
+      expect_series(multi.replay.per_endpoint[e],
+                    golden.per_endpoint_shape[e]);
     }
   }
 }
@@ -228,9 +302,12 @@ TEST(SimGoldenTest, ParallelEventEngineReproducesGoldensForEveryThreadCount) {
                    << workload::to_string(golden.strategy)
                    << " T=" << threads);
       expect_matches(multi.replay.combined, golden.combined);
+      expect_series(multi.replay.combined, golden.combined_shape);
       ASSERT_EQ(multi.replay.per_endpoint.size(), golden.per_endpoint.size());
       for (std::size_t e = 0; e < golden.per_endpoint.size(); ++e) {
         expect_matches(multi.replay.per_endpoint[e], golden.per_endpoint[e]);
+        expect_series(multi.replay.per_endpoint[e],
+                      golden.per_endpoint_shape[e]);
       }
       EXPECT_EQ(multi.staleness_seconds.max(), 0.0);
       EXPECT_EQ(multi.dispatch_lag_seconds.max(), 0.0);
@@ -241,12 +318,16 @@ TEST(SimGoldenTest, ParallelEventEngineReproducesGoldensForEveryThreadCount) {
 // Regeneration helper, not a test: prints the golden tables in source form.
 TEST(SimGoldenTest, DISABLED_PrintGoldenTables) {
   const World setup{golden_params()};
-  std::cout << "constexpr GoldenRun kSingleCacheGolden[] = {\n";
+  std::vector<RunResult> single;
   for (const PolicyKind kind : kAllKinds) {
-    print_row(run_one(kind, setup.trace(), setup.cache_capacity(),
-                      setup.params()));
+    single.push_back(run_one(kind, setup.trace(), setup.cache_capacity(),
+                             setup.params()));
   }
-  std::cout << "};\n\nkMultiGolden rows:\n";
+  std::cout << "constexpr GoldenRun kSingleCacheGolden[] = {\n";
+  for (const RunResult& r : single) print_row(r);
+  std::cout << "};\n\nconstexpr GoldenShape kSingleCacheShape[] = {\n";
+  for (const RunResult& r : single) print_shape(r);
+  std::cout << "};\n\nkMultiGolden and kMultiShape rows:\n";
   for (const auto strategy : {workload::SplitStrategy::kRoundRobin,
                               workload::SplitStrategy::kHashByRegion}) {
     const MultiRunResult multi =
@@ -255,8 +336,10 @@ TEST(SimGoldenTest, DISABLED_PrintGoldenTables) {
     std::cout << "  // strategy = " << workload::to_string(strategy)
               << "\n  combined:\n";
     print_row(multi.combined);
+    print_shape(multi.combined);
     std::cout << "  per_endpoint:\n";
     for (const RunResult& r : multi.per_endpoint) print_row(r);
+    for (const RunResult& r : multi.per_endpoint) print_shape(r);
   }
 }
 
